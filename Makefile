@@ -32,12 +32,14 @@ chaos:
 chaos-nightly:
 	$(GO) test -race -count=1 -run Chaos ./...
 
-# Brief coverage-guided fuzz of the merge frame decoder and the
-# checkpoint decoder on top of the seeded corpus that `make test`
-# already replays.
+# Brief coverage-guided fuzz of the merge frame decoder, the
+# checkpoint decoder and the gradient vertex order (optimized
+# construction vs the reference oracle on tie-heavy volumes) on top of
+# the seeded corpora that `make test` already replays.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChaosUnframe -fuzztime 30s ./internal/merge/
 	$(GO) test -run '^$$' -fuzz FuzzChaosDecodeCheckpoint -fuzztime 30s ./internal/pario/
+	$(GO) test -run '^$$' -fuzz FuzzGradientOrder -fuzztime 30s ./internal/serial/
 
 # Standard vet plus the repo's own invariant multichecker (cmd/msvet,
 # DESIGN §11, §16): the per-package analyzers plus the interprocedural
@@ -120,7 +122,8 @@ benchgate-wall:
 
 # The intra-rank kernel surface in one target: worker-pool unit tests,
 # the cross-width byte-equivalence and sweep-determinism suite, and the
-# pooled gradient/tracer microbenchmarks.
+# pooled gradient/tracer microbenchmarks (ComputePooledBlock reports the
+# gradient stage's ns/cell and B/cell on a production-size block).
 kernels:
 	$(GO) test ./internal/kernel/ ./internal/serial/
 	$(GO) test -run '^$$' -bench 'Pooled' -benchtime 3x ./internal/gradient/ ./internal/mscomplex/

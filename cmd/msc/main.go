@@ -141,6 +141,9 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	if err := (&grid.Volume{Dims: dims, DType: dtype, Data: samples}).CheckNaN(); err != nil {
+		fatalf("%s: %v", *in, err)
+	}
 	lo, hi := rangeOf(samples)
 
 	res, err := pipeline.Run(cluster, pipeline.Params{

@@ -4,12 +4,14 @@
 // one odd coordinate makes an edge (1-cell), two a quad (2-cell), three
 // a voxel (3-cell). Facet/cofacet adjacency is ±1 along one axis.
 //
-// It also implements the total order on cells used by the discrete
-// gradient construction — "improved simulation of simplicity": cells are
+// It also specifies the total order on cells the discrete gradient
+// construction follows — "improved simulation of simplicity": cells are
 // compared by their vertex (value, global vertex id) pairs sorted in
 // descending order, lexicographically. No two distinct cells of the same
 // dimension compare equal, which removes flat-region ambiguity from the
-// steepest-descent pairing.
+// steepest-descent pairing. Package gradient realizes the same order
+// from a per-block vertex rank table; Compare is the reference its tests
+// check against.
 package cube
 
 import "parms/internal/grid"
@@ -44,6 +46,11 @@ func New(domain grid.Dims, block grid.Block, vol *grid.Volume) *Complex {
 		vol:    vol,
 	}
 }
+
+// Samples returns the block-local vertex samples, x fastest; vertex
+// (vx, vy, vz) of the block sits at vx + vy*bx + vz*bx*by for block
+// vertex extents (bx, by, bz). Callers must not modify it.
+func (c *Complex) Samples() []float32 { return c.vol.Data }
 
 // NumCells returns the number of cells in the block's complex.
 func (c *Complex) NumCells() int { return c.NX * c.NY * c.NZ }
@@ -192,14 +199,6 @@ func (c *Complex) Value(idx int) float32 {
 	return c.VertKeys(idx, buf[:])[0].Val
 }
 
-// MaxVertID returns the global id of the cell's maximal vertex under the
-// (value, id) order — the deterministic representative used for
-// tie-breaking between cells.
-func (c *Complex) MaxVertID(idx int) int64 {
-	var buf [8]VertKey
-	return c.VertKeys(idx, buf[:])[0].ID
-}
-
 // Compare imposes the simulation-of-simplicity total order: it returns
 // -1, 0 or +1 as cell a sorts before, equal to, or after cell b. Cells
 // of equal dimension never compare equal unless a == b. Cells of
@@ -245,12 +244,6 @@ func (c *Complex) OnBlockFace(idx, axis, side int) bool {
 	}
 	lim := [3]int{c.NX, c.NY, c.NZ}[axis]
 	return coord == lim-1
-}
-
-// OnAnyFace reports whether the cell touches any face of the block.
-func (c *Complex) OnAnyFace(idx int) bool {
-	x, y, z := c.Coords(idx)
-	return x == 0 || y == 0 || z == 0 || x == c.NX-1 || y == c.NY-1 || z == c.NZ-1
 }
 
 // GlobalCoords returns the cell's global refined coordinates.

@@ -161,7 +161,4 @@ func TestOnBlockFace(t *testing.T) {
 	if !c.OnBlockFace(c.Index(c.NX-1, 0, 0), 0, 1) {
 		t.Fatal("high-x cell not on high-x face")
 	}
-	if !c.OnAnyFace(c.Index(0, 1, 1)) || c.OnAnyFace(c.Index(1, 1, 1)) {
-		t.Fatal("OnAnyFace misclassifies")
-	}
 }

@@ -2,6 +2,7 @@ package gradient
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"parms/internal/cube"
@@ -10,12 +11,8 @@ import (
 	"parms/internal/synth"
 )
 
-// BenchmarkAblationGreedy and BenchmarkAblationLowerStars compare the
-// paper's greedy steepest-descent construction against the
-// ProcessLowerStars alternative on identical input — the
-// gradient-algorithm ablation. Greedy needs a global sort but simple
-// sweeps; lower stars does per-vertex queue work and finds fewer
-// spurious critical cells. Volume and complex construction are hoisted
+// BenchmarkAblationGreedy measures the paper's greedy steepest-descent
+// construction on its own. Volume and complex construction are hoisted
 // out of the timed loop so b.N iterations measure the algorithm alone.
 func BenchmarkAblationGreedy(b *testing.B) {
 	vol := synth.Sinusoid(33, 4)
@@ -26,20 +23,6 @@ func BenchmarkAblationGreedy(b *testing.B) {
 	var counts [4]int
 	for i := 0; i < b.N; i++ {
 		f := Compute(c, nil)
-		counts = f.CriticalCounts()
-	}
-	b.ReportMetric(float64(counts[0]+counts[1]+counts[2]+counts[3]), "criticals")
-}
-
-func BenchmarkAblationLowerStars(b *testing.B) {
-	vol := synth.Sinusoid(33, 4)
-	block := grid.Block{Lo: [3]int{0, 0, 0}, Hi: [3]int{32, 32, 32}}
-	c := cube.New(vol.Dims, block, vol)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var counts [4]int
-	for i := 0; i < b.N; i++ {
-		f := ComputeLowerStars(c)
 		counts = f.CriticalCounts()
 	}
 	b.ReportMetric(float64(counts[0]+counts[1]+counts[2]+counts[3]), "criticals")
@@ -91,6 +74,41 @@ func BenchmarkComputePooled(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ComputePooled(c, nil, pool)
 			}
+		})
+	}
+}
+
+// BenchmarkComputePooledBlock measures the gradient stage on a block the
+// size the production workloads compute: block 0 of Sinusoid(96,6)
+// decomposed 8 ways (a 49³-vertex block), with the decomposition passed
+// so stratum classification and the boundary restriction run too. It
+// reports host cost per refined-grid cell, the unit the stage scales
+// with.
+func BenchmarkComputePooledBlock(b *testing.B) {
+	vol := synth.Sinusoid(96, 6)
+	dec, err := grid.Decompose(vol.Dims, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blk := dec.Blocks[0]
+	c := cube.New(vol.Dims, blk, vol.SubVolume(blk.Lo, blk.Hi))
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			var pool *kernel.Pool
+			if w > 1 {
+				pool = kernel.New(w)
+			}
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ComputePooled(c, dec, pool)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			cells := float64(c.NumCells()) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cells, "ns/cell")
+			b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/cells, "B/cell")
 		})
 	}
 }

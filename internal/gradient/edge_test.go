@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"math"
 	"testing"
 
 	"parms/internal/cube"
@@ -114,6 +115,45 @@ func TestDeterminism(t *testing.T) {
 		for idx := 0; idx < f.C.NumCells(); idx++ {
 			if f.StateByte(idx) != ref.StateByte(idx) {
 				t.Fatalf("run %d: cell %d differs", run, idx)
+			}
+		}
+	}
+}
+
+// TestSignedZeroPlateau: -0 and +0 are the same value to the SoS order
+// (cube.VertKey.Less compares them equal and breaks the tie by id), so
+// a plateau of mixed-sign zeros must give the state bytes of the
+// all-+0 plateau, on a whole volume and on a restricted block.
+func TestSignedZeroPlateau(t *testing.T) {
+	dims := grid.Dims{9, 7, 6}
+	pos := grid.NewVolume(dims)
+	mixed := grid.NewVolume(dims)
+	for i := range pos.Data {
+		if i%7 == 0 {
+			pos.Data[i] = 1
+		}
+		mixed.Data[i] = pos.Data[i]
+		if i%3 != 0 && mixed.Data[i] == 0 {
+			mixed.Data[i] = float32(math.Copysign(0, -1))
+		}
+	}
+	dec, err := grid.Decompose(dims, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := dec.Blocks[1]
+	for _, tc := range []struct {
+		name  string
+		block grid.Block
+		dec   *grid.Decomposition
+	}{{"whole", fullBlock(dims), nil}, {"block 1 of 4", b, dec}} {
+		lo, hi := tc.block.Lo, tc.block.Hi
+		fp := Compute(cube.New(dims, tc.block, pos.SubVolume(lo, hi)), tc.dec)
+		fm := Compute(cube.New(dims, tc.block, mixed.SubVolume(lo, hi)), tc.dec)
+		for idx := 0; idx < fp.C.NumCells(); idx++ {
+			if fp.StateByte(idx) != fm.StateByte(idx) {
+				t.Fatalf("%s: cell %d: +0 plateau %#x, mixed-sign plateau %#x",
+					tc.name, idx, fp.StateByte(idx), fm.StateByte(idx))
 			}
 		}
 	}

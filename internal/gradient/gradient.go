@@ -6,6 +6,15 @@
 // with the steepest of its unassigned cofacets for which it is the only
 // unassigned facet, and is marked critical otherwise.
 //
+// The order is realized without sorting cells. One sort ranks the
+// block's vertices by (value, id); because the SoS order compares cells
+// top vertex first, each dimension's sweep walks the vertices in rank
+// order and processes each vertex's lower star — the few cells whose
+// top vertex it is — ordered by the rest of their rank sequences. That
+// is exactly the sorted cell order (see order.go). -0 and +0 are the
+// same value to the order; NaN has no place in it and is rejected at
+// pipeline entry (grid.ErrNaN).
+//
 // To allow blocks to be glued during the merge stage, pairing is
 // restricted on shared block boundaries: a cell lying on the boundary of
 // two or more blocks may only pair with cells lying on the boundary of
@@ -21,8 +30,6 @@ package gradient
 
 import (
 	"fmt"
-	"math/bits"
-	"sort"
 
 	"parms/internal/cube"
 	"parms/internal/grid"
@@ -39,15 +46,17 @@ const (
 )
 
 // Field is the discrete gradient vector field of one block, stored in
-// structure-of-arrays form: one state byte and one stratum id per
-// refined-grid cell, plus the flat successor arrays the tracing kernels
-// iterate (headOf for every tail cell, succ0 for the functional vertex
-// layer).
+// structure-of-arrays form: one state byte per refined-grid cell, one
+// stratum id per block-face cell, plus the flat successor arrays the
+// tracing kernels iterate (headOf for every tail cell, succ0 for the
+// functional vertex layer). The per-vertex rank table lives only while
+// pairing runs.
 type Field struct {
 	C *cube.Complex
 
 	state  []byte
-	strata []int32
+	strata [6][]int32 // face-cell stratum ids, one plane per block face (faceSlot)
+	rank   []int32    // vertex -> SoS rank; built and released by assign
 
 	// Successor arrays, built by successorsKernel after assignment.
 	headOf        []int32 // tail cell -> paired head cofacet, -1 otherwise
@@ -68,15 +77,14 @@ func Compute(c *cube.Complex, dec *grid.Decomposition) *Field {
 }
 
 // ComputePooled is Compute with an explicit intra-rank worker pool for
-// the batch kernels (key precomputation and successor-array builds).
+// the batch kernels (vertex sort keys and successor-array builds).
 // The greedy pairing sweep itself is order-dependent and stays
 // sequential, so the resulting field is byte-identical for every pool
 // width — a nil pool is the reference sequential path.
 func ComputePooled(c *cube.Complex, dec *grid.Decomposition, pool *kernel.Pool) *Field {
 	f := &Field{
-		C:      c,
-		state:  make([]byte, c.NumCells()),
-		strata: make([]int32, c.NumCells()),
+		C:     c,
+		state: make([]byte, c.NumCells()),
 	}
 	f.classifyStrata(dec)
 	f.assign(pool)
@@ -87,149 +95,48 @@ func ComputePooled(c *cube.Complex, dec *grid.Decomposition, pool *kernel.Pool) 
 // classifyStrata assigns each cell a stratum id. Interior cells (owned
 // by this block alone) get stratum 0; cells on a shared boundary get an
 // id interned from the sorted set of blocks whose closed boxes contain
-// the cell.
+// the cell, numbered in cell-index order. Only face cells can lie on a
+// shared boundary, so only they are visited and stored.
 func (f *Field) classifyStrata(dec *grid.Decomposition) {
 	if dec == nil {
 		return // everything stratum 0
 	}
 	c := f.C
+	for face, n := range [6]int{c.NY * c.NZ, c.NY * c.NZ, c.NX * c.NZ, c.NX * c.NZ, c.NX * c.NY, c.NX * c.NY} {
+		f.strata[face] = make([]int32, n)
+	}
+	home, lo := c.Block.ID, c.Block.Lo
 	intern := map[string]int32{}
-	n := c.NumCells()
-	for idx := 0; idx < n; idx++ {
-		if !c.OnAnyFace(idx) {
-			continue
+	var key []byte
+	classify := func(x, y, z int) {
+		gx, gy, gz := x+2*lo[0], y+2*lo[1], z+2*lo[2]
+		if !dec.SharedBoundary(home, gx, gy, gz) {
+			return // interior, or a face on the domain boundary: unrestricted
 		}
-		gx, gy, gz := c.GlobalCoords(idx)
-		owners := dec.OwnersOfRefined(c.Block.ID, gx, gy, gz)
-		if len(owners) <= 1 {
-			continue // a face on the domain boundary: unrestricted
+		key = key[:0]
+		for _, o := range dec.OwnersOfRefined(home, gx, gy, gz) {
+			key = append(key, byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
 		}
-		key := ownersKey(owners)
-		id, ok := intern[key]
+		id, ok := intern[string(key)]
 		if !ok {
 			id = int32(len(intern) + 1)
-			intern[key] = id
+			intern[string(key)] = id
 		}
-		f.strata[idx] = id
+		face, i := f.faceSlot([3]int{x, y, z})
+		f.strata[face][i] = id
 	}
-}
-
-func ownersKey(owners []int) string {
-	buf := make([]byte, 0, len(owners)*4)
-	for _, o := range owners {
-		buf = append(buf, byte(o), byte(o>>8), byte(o>>16), byte(o>>24))
-	}
-	return string(buf)
-}
-
-// assign runs the greedy pairing sweeps, one per dimension. The pool
-// accelerates the sort-key batch kernel; the greedy loop itself is
-// sequential because each pairing decision depends on earlier ones.
-func (f *Field) assign(pool *kernel.Pool) {
-	c := f.C
-	n := c.NumCells()
-	f.Work.CellsVisited += int64(n)
-
-	// Bucket cell indices by dimension.
-	byDim := [4][]int32{}
-	counts := [4]int{}
-	for idx := 0; idx < n; idx++ {
-		counts[c.Dim(idx)]++
-	}
-	for d := 0; d < 4; d++ {
-		byDim[d] = make([]int32, 0, counts[d])
-	}
-	for idx := 0; idx < n; idx++ {
-		d := c.Dim(idx)
-		byDim[d] = append(byDim[d], int32(idx))
-	}
-
-	var facetBuf, cofacetBuf [6]int
-	for d := 0; d <= 2; d++ {
-		cellsD := byDim[d]
-		f.sortCells(cellsD, pool)
-		for _, ci := range cellsD {
-			idx := int(ci)
-			if f.state[idx]&(flagPaired|flagCrit) != 0 {
-				continue // already a head of a pair from the previous sweep
-			}
-			best := -1
-			for _, co := range c.Cofacets(idx, cofacetBuf[:0]) {
-				f.Work.PairTests++
-				if f.state[co]&(flagPaired|flagCrit) != 0 {
-					continue
+	for z := 0; z < c.NZ; z++ {
+		for y := 0; y < c.NY; y++ {
+			if z == 0 || z == c.NZ-1 || y == 0 || y == c.NY-1 {
+				for x := 0; x < c.NX; x++ {
+					classify(x, y, z)
 				}
-				if f.strata[co] != f.strata[idx] {
-					continue // boundary restriction
-				}
-				// idx must be the only unassigned facet of co.
-				sole := true
-				for _, fc := range c.Facets(co, facetBuf[:0]) {
-					if fc != idx && f.state[fc]&(flagPaired|flagCrit) == 0 {
-						sole = false
-						break
-					}
-				}
-				if !sole {
-					continue
-				}
-				// Steepest descent: the candidate with the smallest
-				// simulation-of-simplicity order.
-				if best < 0 || c.Compare(co, best) < 0 {
-					best = co
-				}
-			}
-			if best < 0 {
-				f.state[idx] |= flagCrit
 				continue
 			}
-			f.pair(idx, best)
+			classify(0, y, z)
+			classify(c.NX-1, y, z)
 		}
 	}
-	// Whatever remains unassigned can only be 3-cells; they are maxima.
-	for _, ci := range byDim[3] {
-		if f.state[ci]&(flagPaired|flagCrit) == 0 {
-			f.state[ci] |= flagCrit
-		}
-	}
-}
-
-// sortCells orders same-dimension cells ascending in the SoS total
-// order. A batch kernel precomputes one (max value, max vertex id) key
-// per cell into flat arrays — no map, no per-comparison VertKeys — and
-// a permutation sort indexes those arrays directly; the full
-// lexicographic comparison breaks the rare remaining ties. The SoS
-// order is total, so the sorted sequence is unique and independent of
-// both the sort algorithm and the pool width.
-func (f *Field) sortCells(cells []int32, pool *kernel.Pool) {
-	c := f.C
-	nc := len(cells)
-	if nc == 0 {
-		return
-	}
-	val := make([]float32, nc)
-	id := make([]int64, nc)
-	f.cellKeysKernel(cells, val, id, pool)
-	perm := make([]int32, nc)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		ia, ib := perm[a], perm[b]
-		if val[ia] != val[ib] {
-			return val[ia] < val[ib]
-		}
-		if id[ia] != id[ib] {
-			return id[ia] < id[ib]
-		}
-		return c.Compare(int(cells[ia]), int(cells[ib])) < 0
-	})
-	sorted := make([]int32, nc)
-	for i, p := range perm {
-		sorted[i] = cells[p]
-	}
-	copy(cells, sorted)
-	f.Work.SortedItems += int64(nc) * int64(bits.Len(uint(nc)))
 }
 
 // pair records the gradient vector tail→head between facet tail and
@@ -307,7 +214,44 @@ func (f *Field) IsTail(idx int) bool {
 }
 
 // Stratum returns the boundary stratum id of a cell (0 for interior).
-func (f *Field) Stratum(idx int) int32 { return f.strata[idx] }
+func (f *Field) Stratum(idx int) int32 {
+	x, y, z := f.C.Coords(idx)
+	return f.stratum([3]int{x, y, z})
+}
+
+// stratum returns the boundary stratum id of the cell at refined
+// coordinates p: 0 for interior cells and for every cell when no
+// decomposition restricts pairing.
+func (f *Field) stratum(p [3]int) int32 {
+	face, i := f.faceSlot(p)
+	if face < 0 || f.strata[face] == nil {
+		return 0
+	}
+	return f.strata[face][i]
+}
+
+// faceSlot locates the stratum slot of the cell at refined coordinates
+// p: the first block face it lies on (x low, x high, y low, y high, z
+// low, z high) and its index in that face's plane, or face -1 for an
+// interior cell.
+func (f *Field) faceSlot(p [3]int) (face, i int) {
+	c := f.C
+	switch {
+	case p[0] == 0:
+		return 0, p[1] + p[2]*c.NY
+	case p[0] == c.NX-1:
+		return 1, p[1] + p[2]*c.NY
+	case p[1] == 0:
+		return 2, p[0] + p[2]*c.NX
+	case p[1] == c.NY-1:
+		return 3, p[0] + p[2]*c.NX
+	case p[2] == 0:
+		return 4, p[0] + p[1]*c.NX
+	case p[2] == c.NZ-1:
+		return 5, p[0] + p[1]*c.NX
+	}
+	return -1, 0
+}
 
 // StateByte exposes the raw one-byte encoding of a cell's gradient
 // state (used by tests that compare shared faces between blocks).
@@ -364,8 +308,8 @@ func (f *Field) Validate() error {
 				return fmt.Errorf("pair %d(%d-cell)–%d(%d-cell) does not span one dimension",
 					idx, c.Dim(idx), p, c.Dim(p))
 			}
-			if f.strata[idx] != f.strata[p] {
-				return fmt.Errorf("pair %d–%d crosses strata %d–%d", idx, p, f.strata[idx], f.strata[p])
+			if si, sp := f.Stratum(idx), f.Stratum(p); si != sp {
+				return fmt.Errorf("pair %d–%d crosses strata %d–%d", idx, p, si, sp)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"parms/internal/cube"
 	"parms/internal/grid"
 	"parms/internal/synth"
+	"parms/internal/vtime"
 )
 
 func fullBlock(dims grid.Dims) grid.Block {
@@ -185,5 +186,34 @@ func BenchmarkGradient32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := cube.New(dims, block, vol)
 		Compute(c, nil)
+	}
+}
+
+// TestWorkTallies pins the cost-model inputs of the gradient stage. The
+// virtual-time model prices CellsVisited, PairTests and SortedItems, so
+// any change to how the stage walks or orders cells that moves them
+// would silently move every modeled time. SortedItems keeps the
+// n·bits.Len(n) charge per swept dimension of the paper's per-dimension
+// sort, whatever the host implementation does instead.
+func TestWorkTallies(t *testing.T) {
+	vol := synth.Sinusoid(33, 4)
+	dec, err := grid.Decompose(vol.Dims, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b0 := dec.Blocks[0]
+	for _, tc := range []struct {
+		name string
+		f    *Field
+		want vtime.Work
+	}{
+		{"single block", Compute(cube.New(vol.Dims, fullBlock(vol.Dims), vol), nil),
+			vtime.Work{CellsVisited: 549250, PairTests: 540242, SortedItems: 4075632}},
+		{"block 0 of 8", Compute(cube.New(vol.Dims, b0, vol.SubVolume(b0.Lo, b0.Hi)), dec),
+			vtime.Work{CellsVisited: 71874, PairTests: 69757, SortedItems: 440861}},
+	} {
+		if tc.f.Work != tc.want {
+			t.Errorf("%s: work %+v, want %+v", tc.name, tc.f.Work, tc.want)
+		}
 	}
 }

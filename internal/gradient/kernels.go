@@ -1,7 +1,8 @@
 package gradient
 
 import (
-	"parms/internal/cube"
+	"math"
+
 	"parms/internal/kernel"
 )
 
@@ -12,20 +13,34 @@ import (
 // per-element loop bodies allocate nothing — the msvet `kernel`
 // analyzer enforces the latter for every function named *Kernel.
 
-// cellKeysKernel fills val[i] and id[i] with the top simulation-of-
-// simplicity key (max vertex value, max vertex id) of cells[i]. The
-// arrays are parallel to cells and are consumed by sortCells, replacing
-// the per-cell map lookups of the old sequential path.
-func (f *Field) cellKeysKernel(cells []int32, val []float32, id []int64, pool *kernel.Pool) {
-	c := f.C
-	pool.Run(len(cells), kernel.DefaultGrain, func(_, _, lo, hi int) {
-		var buf [8]cube.VertKey
+// vertexKeysKernel fills keys[i] with the packed SoS sort key of
+// vertex i: the order-preserving bits of its sample in the high 32 bits
+// and i itself in the low 32. Sorting the keys as plain uint64s yields
+// the vertex order by (value, index), which buildRanks turns into the
+// rank table.
+func vertexKeysKernel(data []float32, keys []uint64, pool *kernel.Pool) {
+	pool.Run(len(data), kernel.DefaultGrain, func(_, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			keys := c.VertKeys(int(cells[i]), buf[:])
-			val[i] = keys[0].Val
-			id[i] = keys[0].ID
+			keys[i] = uint64(orderedBits(data[i]))<<32 | uint64(i)
 		}
 	})
+}
+
+// orderedBits maps a float32 to a uint32 whose unsigned order is the
+// numeric order: negative values have all bits flipped, non-negative
+// ones only the sign bit. -0 is first canonicalized to +0, because
+// cube.VertKey.Less treats the two as equal (and breaks the tie by id).
+// NaN has no place in a strict order; pipeline entry rejects it
+// (grid.ErrNaN) before any block reaches this kernel.
+func orderedBits(v float32) uint32 {
+	b := math.Float32bits(v)
+	if b == 1<<31 {
+		b = 0 // -0 -> +0
+	}
+	if b&(1<<31) != 0 {
+		return ^b
+	}
+	return b | 1<<31
 }
 
 // successorsKernel fills the flat successor arrays from the assigned
@@ -45,9 +60,20 @@ func (f *Field) successorsKernel(pool *kernel.Pool) {
 			if s&flagPaired == 0 {
 				continue
 			}
-			p := neighborByDir(c, idx, s&dirMask)
-			if c.Dim(p) == c.Dim(idx)+1 {
-				f.headOf[idx] = int32(p)
+			// The partner is the head exactly when it lies along an
+			// axis on which idx has an even (unspanned) coordinate.
+			dir := s & dirMask
+			var coord int
+			switch dir >> 1 {
+			case 0:
+				coord = idx % c.NX
+			case 1:
+				coord = idx / c.NX % c.NY
+			default:
+				coord = idx / (c.NX * c.NY)
+			}
+			if coord&1 == 0 {
+				f.headOf[idx] = int32(neighborByDir(c, idx, dir))
 			}
 		}
 	})

@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -255,5 +257,25 @@ func TestVertexID(t *testing.T) {
 	// Vertex (1, 2, 3) has id 1 + 2*4 + 3*16 = 57.
 	if id := space.VertexID(space.Encode(2, 4, 6)); id != 57 {
 		t.Fatalf("vertex id %d, want 57", id)
+	}
+}
+
+func TestCheckNaN(t *testing.T) {
+	v := NewVolume(Dims{4, 3, 2})
+	for i := range v.Data {
+		v.Data[i] = float32(i) - 5
+	}
+	v.Data[0] = float32(math.Copysign(0, -1))
+	v.Data[1] = float32(math.Inf(-1))
+	if err := v.CheckNaN(); err != nil {
+		t.Fatalf("ordered samples (with -0 and -Inf) rejected: %v", err)
+	}
+	v.Set(1, 2, 1, float32(math.NaN()))
+	err := v.CheckNaN()
+	if !errors.Is(err, ErrNaN) {
+		t.Fatalf("error %v, want ErrNaN", err)
+	}
+	if want := "grid: NaN sample at vertex (1,2,1)"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
 	}
 }

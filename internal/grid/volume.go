@@ -6,6 +6,7 @@ package grid
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -112,6 +113,26 @@ func (v *Volume) Range() (lo, hi float32) {
 		}
 	}
 	return lo, hi
+}
+
+// ErrNaN reports a NaN sample. The gradient stage orders vertices by
+// value and NaN has no place in that order, so every pipeline entry
+// rejects a volume holding one before any rank starts. Errors returned
+// for it wrap ErrNaN; test with errors.Is.
+var ErrNaN = errors.New("grid: NaN sample")
+
+// CheckNaN returns an error wrapping ErrNaN that names the first NaN
+// sample of the volume, or nil when there is none.
+func (v *Volume) CheckNaN() error {
+	for i, f := range v.Data {
+		if math.IsNaN(float64(f)) {
+			x := i % v.Dims[0]
+			y := i / v.Dims[0] % v.Dims[1]
+			z := i / (v.Dims[0] * v.Dims[1])
+			return fmt.Errorf("%w at vertex (%d,%d,%d)", ErrNaN, x, y, z)
+		}
+	}
+	return nil
 }
 
 // Bytes serializes the volume samples in x-fastest order using the

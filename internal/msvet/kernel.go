@@ -25,7 +25,7 @@ var kernelPkgs = map[string]bool{
 // composite literal that escapes turns each iteration into an
 // allocation; a func literal additionally forces its captures to the
 // heap. Scratch belongs above the loop, sized once per chunk (see
-// gradient.cellKeysKernel), where the msvet suite leaves it alone.
+// gradient.vertexKeysKernel), where the msvet suite leaves it alone.
 var KernelAnalyzer = &Analyzer{
 	Name: "kernel",
 	Doc: "flags per-element allocation (make/new/append, composite literals) and closure " +

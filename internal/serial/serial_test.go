@@ -1,6 +1,8 @@
 package serial
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"parms/internal/cube"
@@ -11,52 +13,88 @@ import (
 
 // TestOracleAgreesWithOptimized cross-checks the optimized gradient
 // implementation against the independently coded reference, cell by
-// cell: identical critical sets and identical pairings.
+// cell: identical critical sets and identical pairings. Besides
+// continuous fields, where ties almost never occur, it runs tie-heavy
+// volumes drawn from {-0, +0, 1} on odd and non-cubic grids, where
+// nearly every order decision falls to the vertex-id tie-break.
 func TestOracleAgreesWithOptimized(t *testing.T) {
 	cases := []*grid.Volume{
 		synth.Random(grid.Dims{7, 6, 5}, 1),
 		synth.Random(grid.Dims{6, 6, 6}, 2),
 		synth.Sinusoid(9, 2),
 		synth.Ramp(grid.Dims{5, 5, 5}),
+		tieVolume(grid.Dims{7, 6, 5}, []byte("plateaus")),
+		tieVolume(grid.Dims{2, 9, 3}, []byte{0, 1, 2, 2, 1, 0, 0, 2}),
+		tieVolume(grid.Dims{5, 5, 5}, []byte{1}),
+		tieVolume(grid.Dims{8, 3, 7}, []byte("signed zeros tie by vertex id")),
 	}
 	for ci, vol := range cases {
-		ref := NewReferenceGradient(vol)
-		block := grid.Block{Lo: [3]int{0, 0, 0}, Hi: [3]int{vol.Dims[0] - 1, vol.Dims[1] - 1, vol.Dims[2] - 1}}
-		c := cube.New(vol.Dims, block, vol)
-		f := gradient.Compute(c, nil)
+		if err := oracleMismatch(vol); err != nil {
+			t.Fatalf("case %d (%v): %v", ci, vol.Dims, err)
+		}
+	}
+}
 
-		refCrit := ref.CriticalSet()
-		optCrit := make(map[[3]int]bool)
-		for _, ci := range f.CriticalCells() {
-			x, y, z := c.Coords(int(ci))
-			optCrit[[3]int{x, y, z}] = true
+// FuzzGradientOrder runs the oracle comparison on fuzzed tie-heavy
+// volumes: each input byte picks one sample from {-0, +0, 1} (cycling
+// through the bytes when the grid has more vertices), on a grid of 2..9
+// vertices per axis. The seed corpus lives in
+// testdata/fuzz/FuzzGradientOrder.
+func FuzzGradientOrder(f *testing.F) {
+	f.Add(uint8(7), uint8(6), uint8(5), []byte{0, 1, 2})
+	f.Add(uint8(2), uint8(9), uint8(3), []byte{2, 2, 0, 1})
+	f.Fuzz(func(t *testing.T, nx, ny, nz uint8, data []byte) {
+		dims := grid.Dims{2 + int(nx)%8, 2 + int(ny)%8, 2 + int(nz)%8}
+		if err := oracleMismatch(tieVolume(dims, data)); err != nil {
+			t.Fatalf("%v: %v", dims, err)
 		}
-		if len(refCrit) != len(optCrit) {
-			t.Fatalf("case %d: %d reference criticals, %d optimized", ci, len(refCrit), len(optCrit))
+	})
+}
+
+// tieVolume fills a volume from the three-value alphabet {-0, +0, 1},
+// sample i taking data[i mod len(data)] mod 3 (all +0 for empty data).
+func tieVolume(dims grid.Dims, data []byte) *grid.Volume {
+	alphabet := [3]float32{float32(math.Copysign(0, -1)), 0, 1}
+	vol := grid.NewVolume(dims)
+	if len(data) == 0 {
+		return vol
+	}
+	for i := range vol.Data {
+		vol.Data[i] = alphabet[data[i%len(data)]%3]
+	}
+	return vol
+}
+
+// oracleMismatch computes the gradient of vol with the optimized and the
+// reference construction and describes the first cell whose pairing (or
+// critical state) differs, or returns nil.
+func oracleMismatch(vol *grid.Volume) error {
+	ref := NewReferenceGradient(vol)
+	block := grid.Block{Lo: [3]int{0, 0, 0}, Hi: [3]int{vol.Dims[0] - 1, vol.Dims[1] - 1, vol.Dims[2] - 1}}
+	c := cube.New(vol.Dims, block, vol)
+	f := gradient.Compute(c, nil)
+	refCrit := ref.CriticalSet()
+	for idx := 0; idx < c.NumCells(); idx++ {
+		x, y, z := c.Coords(idx)
+		cell := [3]int{x, y, z}
+		if refCrit[cell] != f.IsCritical(idx) {
+			return fmt.Errorf("cell %v critical=%v in reference, %v in optimized",
+				cell, refCrit[cell], f.IsCritical(idx))
 		}
-		for cell := range refCrit {
-			if !optCrit[cell] {
-				t.Fatalf("case %d: reference critical %v missing in optimized", ci, cell)
-			}
+		refPair, refOK := ref.PairOf(x, y, z)
+		optPairIdx, optOK := f.PairedWith(idx)
+		if refOK != optOK {
+			return fmt.Errorf("cell %v paired=%v in reference, %v in optimized", cell, refOK, optOK)
 		}
-		// Pairings must agree too.
-		for idx := 0; idx < c.NumCells(); idx++ {
-			x, y, z := c.Coords(idx)
-			refPair, refOK := ref.PairOf(x, y, z)
-			optPairIdx, optOK := f.PairedWith(idx)
-			if refOK != optOK {
-				t.Fatalf("case %d: cell (%d,%d,%d) paired=%v in reference, %v in optimized",
-					ci, x, y, z, refOK, optOK)
-			}
-			if refOK {
-				px, py, pz := c.Coords(optPairIdx)
-				if refPair != [3]int{px, py, pz} {
-					t.Fatalf("case %d: cell (%d,%d,%d) paired with %v in reference, (%d,%d,%d) in optimized",
-						ci, x, y, z, refPair, px, py, pz)
-				}
+		if refOK {
+			px, py, pz := c.Coords(optPairIdx)
+			if refPair != [3]int{px, py, pz} {
+				return fmt.Errorf("cell %v paired with %v in reference, (%d,%d,%d) in optimized",
+					cell, refPair, px, py, pz)
 			}
 		}
 	}
+	return nil
 }
 
 func TestComputeSerialBaseline(t *testing.T) {

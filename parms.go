@@ -129,6 +129,12 @@ var (
 	RandomField = synth.Random
 )
 
+// ErrNaN is wrapped by the error Compute and ComputeInSitu return when
+// an input sample is NaN: the simulation-of-simplicity vertex order is
+// only defined on ordered values. Both reject the input before any
+// rank starts.
+var ErrNaN = grid.ErrNaN
+
 // BlueGeneP is the default machine profile, shaped after the paper's
 // test system.
 func BlueGeneP() *Machine { return vtime.BlueGeneP() }
@@ -294,6 +300,9 @@ func newObserver(opt Options) *obs.Observer {
 
 // Compute runs the two-stage parallel algorithm on a volume.
 func Compute(vol *Volume, opt Options) (*Result, error) {
+	if err := vol.CheckNaN(); err != nil {
+		return nil, fmt.Errorf("parms: %w", err)
+	}
 	if opt.Procs <= 0 {
 		opt.Procs = 1
 	}
@@ -363,8 +372,10 @@ func Compute(vol *Volume, opt Options) (*Result, error) {
 // is embedded in the simulation that produced the data (the paper's
 // in-situ plan, section VII-B). source receives the closed vertex box
 // [lo, hi] of a block (including shared layers) and must return a volume
-// of exactly that extent. rangeLo and rangeHi give the global value
-// range the relative persistence threshold is scaled by.
+// of exactly that extent. It is called once per block, in block-id
+// order, before the run starts; a NaN sample fails the call with
+// ErrNaN. rangeLo and rangeHi give the global value range the relative
+// persistence threshold is scaled by.
 func ComputeInSitu(dims Dims, source func(lo, hi [3]int) *Volume,
 	rangeLo, rangeHi float32, opt Options) (*Result, error) {
 	if opt.Procs <= 0 {
@@ -377,6 +388,21 @@ func ComputeInSitu(dims Dims, source func(lo, hi [3]int) *Volume,
 	radices := opt.Radices
 	if radices == nil && opt.FullMerge {
 		radices = merge.Full(blocks).Radices
+	}
+	// Take every block from the source up front, as the resident
+	// partition of the simulation, so NaN is rejected before any rank
+	// starts.
+	dec, err := grid.Decompose(dims, blocks)
+	if err != nil {
+		return nil, err
+	}
+	resident := make([]*Volume, dec.NumBlocks())
+	for _, b := range dec.Blocks {
+		v := source(b.Lo, b.Hi)
+		if err := v.CheckNaN(); err != nil {
+			return nil, fmt.Errorf("parms: in-situ block %d: %w", b.ID, err)
+		}
+		resident[b.ID] = v
 	}
 	ob := newObserver(opt)
 	cluster, err := mpsim.New(mpsim.Config{
@@ -407,7 +433,7 @@ func ComputeInSitu(dims Dims, source func(lo, hi [3]int) *Volume,
 		Speculate:       opt.Speculate,
 		AvoidRanks:      opt.AvoidRanks,
 		Source: func(b grid.Block) (*Volume, error) {
-			return source(b.Lo, b.Hi), nil
+			return resident[b.ID], nil
 		},
 	})
 	if err != nil {

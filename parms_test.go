@@ -2,6 +2,8 @@ package parms
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -261,5 +263,32 @@ func TestPublicEventLog(t *testing.T) {
 	}
 	if strings.Contains(out, `"time":`) {
 		t.Errorf("log lines carry wall-clock timestamps (nondeterministic):\n%s", out)
+	}
+}
+
+// TestNaNRejected: a NaN sample has no place in the vertex order the
+// gradient stage sorts by, so both library entry points refuse the
+// input with ErrNaN before a rank runs, and the in-situ source is
+// consulted once per block up front.
+func TestNaNRejected(t *testing.T) {
+	vol := Sinusoid(9, 1)
+	vol.Set(3, 4, 5, float32(math.NaN()))
+	_, err := Compute(vol, Options{Procs: 4, FullMerge: true, Trace: true})
+	if !errors.Is(err, ErrNaN) {
+		t.Fatalf("Compute: error %v, want ErrNaN", err)
+	}
+	if !strings.Contains(err.Error(), "(3,4,5)") {
+		t.Errorf("Compute: error %q does not name the NaN vertex", err)
+	}
+	calls := 0
+	_, err = ComputeInSitu(vol.Dims, func(lo, hi [3]int) *Volume {
+		calls++
+		return vol.SubVolume(lo, hi)
+	}, 0, 1, Options{Procs: 4, FullMerge: true})
+	if !errors.Is(err, ErrNaN) {
+		t.Fatalf("ComputeInSitu: error %v, want ErrNaN", err)
+	}
+	if calls > 4 {
+		t.Errorf("ComputeInSitu called the source %d times for 4 blocks", calls)
 	}
 }
