@@ -10,6 +10,12 @@ package msvet
 // type-checked; editing one file invalidates exactly that package and
 // its reverse dependencies, because only their keys change.
 //
+// A package's facts also rest on which fields other packages taint,
+// which its key cannot see (the writer need not be an import). Each
+// key's file therefore holds one entry per distinct set of answers
+// (PackageFacts.Assumes), and a lookup replays only an entry whose
+// answers match the run's current field set.
+//
 // Entries are written via temp-file + rename, so concurrent runs (two
 // terminals, an editor save hook and CI) race benignly: both compute
 // the same bytes for the same key, and rename is atomic.
@@ -20,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/build"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -75,7 +82,7 @@ func NewCache(dir string, l *Loader, analyzers []*Analyzer, checkAllows bool) (*
 		dir:     dir,
 		modRoot: l.ModRoot(),
 		modPath: l.ModPath(),
-		salt:    fmt.Sprintf("msvet-v1|%s|%s|%v", runtime.Version(), strings.Join(names, ","), checkAllows),
+		salt:    fmt.Sprintf("msvet-v2|%s|%s|%v", runtime.Version(), strings.Join(names, ","), checkAllows),
 		ctx:     buildCtxNoCgo(),
 		keys:    map[string]string{},
 		deps:    map[string][]string{},
@@ -195,24 +202,51 @@ func (c *Cache) entryFile(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// Get returns the cached entry for a key, or false.
-func (c *Cache) Get(key string) (*CacheEntry, bool) {
-	data, err := os.ReadFile(c.entryFile(key))
-	if err != nil {
-		return nil, false
+// maxCacheVariants bounds the entries kept per key; the fixpoint rounds of
+// one run need one per round that changes the package's answers.
+const maxCacheVariants = 4
+
+// Get returns the cached entry for a key whose facts the caller
+// accepts, or false.
+func (c *Cache) Get(key string, accept func(*PackageFacts) bool) (*CacheEntry, bool) {
+	for _, e := range c.variants(key) {
+		if accept(e.Facts) {
+			return e, true
+		}
 	}
-	var e CacheEntry
-	if err := json.Unmarshal(data, &e); err != nil || e.Facts == nil {
-		// Corrupt or half-written legacy entry: treat as a miss; the
-		// rewrite below repairs it.
-		return nil, false
-	}
-	return &e, true
+	return nil, false
 }
 
-// Put stores an entry under a key, atomically.
+// variants reads every entry stored under a key. A missing, corrupt or
+// half-written file reads as none; the next Put repairs it.
+func (c *Cache) variants(key string) []*CacheEntry {
+	data, err := os.ReadFile(c.entryFile(key))
+	if err != nil {
+		return nil
+	}
+	var es []*CacheEntry
+	if err := json.Unmarshal(data, &es); err != nil {
+		return nil
+	}
+	out := es[:0]
+	for _, e := range es {
+		if e != nil && e.Facts != nil {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// Put stores an entry under a key, atomically, replacing an entry with
+// the same answers and dropping the oldest beyond maxCacheVariants.
 func (c *Cache) Put(key string, e *CacheEntry) error {
-	data, err := json.Marshal(e)
+	es := []*CacheEntry{e}
+	for _, old := range c.variants(key) {
+		if len(es) < maxCacheVariants && !maps.Equal(old.Facts.Assumes, e.Facts.Assumes) {
+			es = append(es, old)
+		}
+	}
+	data, err := json.Marshal(es)
 	if err != nil {
 		return err
 	}

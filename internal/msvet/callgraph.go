@@ -102,7 +102,7 @@ func (g *callGraph) computeReach() {
 			return v
 		}
 		v := false
-		if facts, err := g.a.store.Facts(e.pkgPath); err == nil && facts != nil {
+		if facts, err := g.a.importFacts(e.pkgPath); err == nil && facts != nil {
 			if sum, ok := facts.Summaries[e.key]; ok && sum.May {
 				v = true
 			}

@@ -110,6 +110,12 @@ type TagUse struct {
 // Function keys are "Name" for package-level functions and "(T).Name"
 // for methods; field keys are "pkg.(T).field" (globally qualified,
 // since any package can taint a field of an imported struct).
+//
+// Assumes records every answer the store gave about fields tainted
+// elsewhere in the module, for this package and (merged in) its module
+// imports. The facts and findings hold under any global field set that
+// gives the same answers, which is what lets the runner keep them
+// across fixpoint rounds and the cache replay them.
 type PackageFacts struct {
 	Path      string                 `json:"path"`
 	Taint     map[string][]TaintMask `json:"taint,omitempty"`
@@ -117,6 +123,7 @@ type PackageFacts struct {
 	Summaries map[string]Summary     `json:"summaries,omitempty"`
 	SendTags  []TagUse               `json:"send_tags,omitempty"`
 	RecvTags  []TagUse               `json:"recv_tags,omitempty"`
+	Assumes   map[string]bool        `json:"assumes,omitempty"`
 }
 
 func newPackageFacts(path string) *PackageFacts {
@@ -125,6 +132,7 @@ func newPackageFacts(path string) *PackageFacts {
 		Taint:     map[string][]TaintMask{},
 		Fields:    map[string]bool{},
 		Summaries: map[string]Summary{},
+		Assumes:   map[string]bool{},
 	}
 }
 
@@ -177,9 +185,15 @@ func fieldKeyOf(recv types.Type, field *types.Var) string {
 // missing ones on demand in import order. It is safe for concurrent use
 // by the parallel runner: distinct packages compute under distinct
 // entry locks, and the import DAG is acyclic so lock order is too.
+//
+// Cross-package field taint is read from a frozen set (tainted), never
+// from sibling entries still being computed, so a package's verdict
+// does not depend on scheduling; the runner iterates rounds until the
+// set is a fixpoint.
 type FactStore struct {
 	modPath string
 	load    func(path string) (*Package, error)
+	tainted map[string]bool
 	mu      sync.Mutex
 	entries map[string]*factEntry
 }
@@ -193,9 +207,17 @@ type factEntry struct {
 }
 
 // NewFactStore creates a store for the module rooted at modPath; load
-// resolves an import path to its type-checked package (the Loader).
+// resolves an import path to its type-checked package (the Loader). No
+// field counts as tainted by other packages; the Runner supplies that
+// set round by round.
 func NewFactStore(modPath string, load func(path string) (*Package, error)) *FactStore {
-	return &FactStore{modPath: modPath, load: load, entries: map[string]*factEntry{}}
+	return newRoundStore(modPath, load, nil)
+}
+
+// newRoundStore creates a store whose cross-package field taint is the
+// given frozen set.
+func newRoundStore(modPath string, load func(path string) (*Package, error), tainted map[string]bool) *FactStore {
+	return &FactStore{modPath: modPath, load: load, tainted: tainted, entries: map[string]*factEntry{}}
 }
 
 // inModule reports whether path belongs to the analyzed module — the
@@ -271,27 +293,39 @@ func (s *FactStore) EnsureFor(p *Package) (*pkgAnalysis, error) {
 	return st, nil
 }
 
-// FieldTainted reports whether any analyzed package marked the field
-// key as rank-tainted.
+// FieldTainted reports whether the field key is in the store's frozen
+// cross-package taint set.
 func (s *FactStore) FieldTainted(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Iteration order is irrelevant: this is a pure existence scan (an
-	// OR over booleans). Only completed entries are consulted; an
-	// in-flight package cannot have published fields yet, and TryLock
-	// keeps the lock order acyclic (an entry being computed holds its
-	// own lock while calling into the store).
-	for _, e := range s.entries {
-		if e.mu.TryLock() {
-			f := e.facts
-			tainted := e.done && f != nil && f.Fields[key]
-			e.mu.Unlock()
-			if tainted {
-				return true
-			}
+	return s.tainted[key]
+}
+
+// holds reports whether facts computed under some field set stay valid
+// under this store's: every recorded answer is unchanged.
+func (s *FactStore) holds(f *PackageFacts) bool {
+	if f == nil {
+		return false
+	}
+	for key, was := range f.Assumes {
+		if s.tainted[key] != was {
+			return false
 		}
 	}
-	return false
+	return true
+}
+
+// taintedFields returns the union of the store's frozen set and every
+// completed package's tainted fields: the next round's frozen set.
+func (s *FactStore) taintedFields() map[string]bool {
+	out := map[string]bool{}
+	for key := range s.tainted {
+		out[key] = true
+	}
+	for _, path := range s.Paths() {
+		for key := range s.factsOf(path).Fields {
+			out[key] = true
+		}
+	}
+	return out
 }
 
 // Paths returns the import paths with completed facts, sorted.
@@ -324,6 +358,18 @@ func (s *FactStore) factsOf(path string) *PackageFacts {
 	return nil
 }
 
+// importFacts returns another package's facts and adopts the field
+// answers they rest on: this package's verdict now rests on them too.
+func (a *pkgAnalysis) importFacts(pkgPath string) (*PackageFacts, error) {
+	facts, err := a.store.Facts(pkgPath)
+	if err == nil && facts != nil {
+		for key, was := range facts.Assumes {
+			a.facts.Assumes[key] = was
+		}
+	}
+	return facts, err
+}
+
 // taintFactFor resolves a callee's taint fact across package
 // boundaries: the current package's in-progress facts for local
 // callees, the store for imported ones. The bool reports whether a fact
@@ -337,7 +383,7 @@ func (a *pkgAnalysis) taintFactFor(fn *types.Func) ([]TaintMask, bool) {
 		masks, ok := a.facts.Taint[key]
 		return masks, ok
 	}
-	facts, err := a.store.Facts(pkgPath)
+	facts, err := a.importFacts(pkgPath)
 	if err != nil || facts == nil {
 		return nil, false
 	}
@@ -368,7 +414,7 @@ func (a *pkgAnalysis) summaryFor(fn *types.Func) (Summary, bool) {
 		}
 		return Summary{}, false
 	}
-	facts, err := a.store.Facts(pkgPath)
+	facts, err := a.importFacts(pkgPath)
 	if err != nil || facts == nil {
 		return Summary{}, false
 	}

@@ -189,27 +189,13 @@ func TestRepoIsClean(t *testing.T) {
 	if len(paths) < 10 {
 		t.Fatalf("module enumeration found only %d packages: %v", len(paths), paths)
 	}
-	store := NewFactStore(l.ModPath(), l.Load)
-	for _, path := range paths {
-		p, err := l.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		findings, err := RunPackage(p, Analyzers(), true, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range findings {
-			t.Errorf("%s", f)
-		}
+	r := &Runner{Loader: l, Analyzers: Analyzers(), CheckAllows: true}
+	findings, _, err := r.Run(paths)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range Analyzers() {
-		if a.Finish == nil {
-			continue
-		}
-		for _, f := range a.Finish(store) {
-			t.Errorf("%s", f)
-		}
+	for _, f := range findings {
+		t.Errorf("%s", f)
 	}
 }
 

@@ -88,6 +88,9 @@ func Diverge(r *mpsim.Rank, s *aa.State) {
 		return n
 	}
 	t.Logf("cold cc findings: %d", count(cold))
+	if count(cold) == 0 {
+		t.Errorf("cold run missed cc's branch on the field bb taints")
+	}
 
 	// Remove the taint in bb; cc's verdict should change with it.
 	mk("internal/bb/bb.go", `package bb

@@ -3,7 +3,8 @@ package msvet
 // runner.go is the analysis driver: it schedules packages in dependency
 // waves (a package runs only after every module dependency has facts),
 // fans each wave out over the repo's own kernel.Pool, consults the
-// content-hash cache before doing any real work, and finally runs the
+// content-hash cache before doing any real work, repeats rounds until
+// cross-package field taint is a fixpoint, and finally runs the
 // repo-wide Finish hooks over the completed fact store. This is the
 // one entry point cmd/msvet, the repo-clean test, and the benchmark all
 // share, so their findings are identical by construction.
@@ -39,10 +40,14 @@ type RunStats struct {
 
 // Run analyzes the given module packages and returns the merged,
 // position-sorted findings (per-package analyzers plus Finish hooks).
+//
+// Field taint crosses package boundaries in both directions (any
+// package may taint a field another package branches on), so it is
+// solved as a module-wide fixpoint: each round analyzes against a
+// frozen set of tainted fields, starting empty; packages whose recorded
+// answers still hold carry over, the rest re-run against the grown set
+// until it stops growing.
 func (r *Runner) Run(paths []string) ([]Finding, *RunStats, error) {
-	store := NewFactStore(r.Loader.ModPath(), r.Loader.Load)
-	stats := &RunStats{Packages: len(paths)}
-
 	waves, err := r.waves(paths)
 	if err != nil {
 		return nil, nil, err
@@ -54,33 +59,47 @@ func (r *Runner) Run(paths []string) ([]Finding, *RunStats, error) {
 	}
 	pool := kernel.New(workers)
 
-	var mu sync.Mutex
-	var findings []Finding
-	var firstErr error
-	for _, wave := range waves {
-		wave := wave
-		pool.Run(len(wave), 1, func(_, _, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				path := wave[i]
-				fs, analyzed, err := r.runOne(path, store)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if !analyzed {
-					stats.CacheHits++
-				} else {
-					stats.Analyzed = append(stats.Analyzed, path)
-				}
-				findings = append(findings, fs...)
-				mu.Unlock()
-			}
-		})
-		if firstErr != nil {
-			return nil, nil, firstErr
+	results := map[string][]Finding{}
+	analyzed := map[string]bool{}
+	todo := map[string]bool{}
+	for _, p := range paths {
+		todo[p] = true
+	}
+	var tainted map[string]bool
+	store := newRoundStore(r.Loader.ModPath(), r.Loader.Load, tainted)
+	for {
+		if err := r.runRound(pool, waves, todo, store, results, analyzed); err != nil {
+			return nil, nil, err
 		}
+		grown := store.taintedFields()
+		if len(grown) == len(tainted) {
+			break
+		}
+		tainted = grown
+		next := newRoundStore(r.Loader.ModPath(), r.Loader.Load, tainted)
+		for _, path := range store.Paths() {
+			if facts := store.factsOf(path); next.holds(facts) {
+				next.AddCached(path, facts)
+			}
+		}
+		todo = map[string]bool{}
+		for _, p := range paths {
+			if !next.holds(store.factsOf(p)) {
+				todo[p] = true
+			}
+		}
+		store = next
 	}
 
+	stats := &RunStats{Packages: len(paths)}
+	var findings []Finding
+	for _, p := range paths {
+		findings = append(findings, results[p]...)
+		if analyzed[p] {
+			stats.Analyzed = append(stats.Analyzed, p)
+		}
+	}
+	stats.CacheHits = len(paths) - len(stats.Analyzed)
 	for _, a := range r.Analyzers {
 		if a.Finish != nil {
 			findings = append(findings, a.Finish(store)...)
@@ -91,6 +110,38 @@ func (r *Runner) Run(paths []string) ([]Finding, *RunStats, error) {
 	return findings, stats, nil
 }
 
+// runRound analyzes (or replays) the todo packages wave by wave into
+// store, recording each one's findings and whether real work happened.
+func (r *Runner) runRound(pool *kernel.Pool, waves [][]string, todo map[string]bool, store *FactStore, results map[string][]Finding, analyzed map[string]bool) error {
+	var mu sync.Mutex
+	var firstErr error
+	for _, wave := range waves {
+		var run []string
+		for _, path := range wave {
+			if todo[path] {
+				run = append(run, path)
+			}
+		}
+		pool.Run(len(run), 1, func(_, _, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				path := run[i]
+				fs, did, err := r.runOne(path, store)
+				mu.Lock()
+				if err != nil && firstErr == nil {
+					firstErr = err
+				}
+				results[path] = fs
+				analyzed[path] = analyzed[path] || did
+				mu.Unlock()
+			}
+		})
+		if firstErr != nil {
+			return firstErr
+		}
+	}
+	return nil
+}
+
 // runOne analyzes (or replays) one package. analyzed reports whether
 // real work happened.
 func (r *Runner) runOne(path string, store *FactStore) (fs []Finding, analyzed bool, err error) {
@@ -98,7 +149,7 @@ func (r *Runner) runOne(path string, store *FactStore) (fs []Finding, analyzed b
 	if r.Cache != nil {
 		key, err = r.Cache.Key(path)
 		if err == nil && key != "" {
-			if e, ok := r.Cache.Get(key); ok {
+			if e, ok := r.Cache.Get(key, store.holds); ok {
 				store.AddCached(path, e.Facts)
 				return e.Findings, false, nil
 			}

@@ -61,11 +61,12 @@ const (
 type termKind uint8
 
 const (
-	termNone     termKind = iota // path still running
-	termReturn                   // normal return
-	termBreak                    // exits the innermost loop
-	termContinue                 // next iteration
-	termAbort                    // error return or panic: cluster abort, not divergence
+	termNone       termKind = iota // path still running
+	termReturn                     // normal return
+	termBreak                      // unlabeled: exits the innermost loop, switch or select
+	termBreakLabel                 // labeled: exits an enclosing loop
+	termContinue                   // next iteration
+	termAbort                      // error return or panic: cluster abort, not divergence
 )
 
 // pvar is the builder-internal variant: an exported Variant plus the
@@ -441,6 +442,9 @@ func (b *summaryBuilder) stmt(s ast.Stmt, cur []pvar) []pvar {
 	case *ast.BranchStmt:
 		switch s.Tok {
 		case token.BREAK:
+			if s.Label != nil {
+				return terminate(cur, termBreakLabel)
+			}
 			return terminate(cur, termBreak)
 		case token.CONTINUE:
 			return terminate(cur, termContinue)
@@ -541,7 +545,7 @@ func (b *summaryBuilder) switchStmt(s *ast.SwitchStmt, cur []pvar) []pvar {
 		for _, e := range clause.List {
 			m |= b.a.exprMask(e)
 		}
-		arms = append(arms, b.stmts(clause.Body, []pvar{{}})...)
+		arms = append(arms, endClause(b.stmts(clause.Body, []pvar{{}}))...)
 	}
 	if !hasDefault {
 		arms = append(arms, pvar{})
@@ -576,7 +580,7 @@ func (b *summaryBuilder) typeSwitchStmt(s *ast.TypeSwitchStmt, cur []pvar) []pva
 		if clause.List == nil {
 			hasDefault = true
 		}
-		arms = append(arms, b.stmts(clause.Body, []pvar{{}})...)
+		arms = append(arms, endClause(b.stmts(clause.Body, []pvar{{}}))...)
 	}
 	if !hasDefault {
 		arms = append(arms, pvar{})
@@ -606,7 +610,7 @@ func (b *summaryBuilder) selectStmt(s *ast.SelectStmt, cur []pvar) []pvar {
 		if clause.Comm != nil {
 			start = b.stmt(clause.Comm, start)
 		}
-		arms = append(arms, b.stmts(clause.Body, start)...)
+		arms = append(arms, endClause(b.stmts(clause.Body, start))...)
 	}
 	if len(arms) == 0 {
 		arms = []pvar{{}}
@@ -738,12 +742,23 @@ func (b *summaryBuilder) rangeStmt(s *ast.RangeStmt, cur []pvar) []pvar {
 func normalizeLoopExits(vs []pvar) []pvar {
 	out := make([]pvar, len(vs))
 	for i, v := range vs {
-		if v.term == termBreak || v.term == termContinue {
+		if v.term == termBreak || v.term == termBreakLabel || v.term == termContinue {
 			v.term = termNone
 		}
 		out[i] = v
 	}
 	return out
+}
+
+// endClause rewrites unlabeled breaks in a switch or select clause into
+// ordinary clause endings: they leave the switch, not a loop.
+func endClause(vs []pvar) []pvar {
+	for i := range vs {
+		if vs[i].term == termBreak {
+			vs[i].term = termNone
+		}
+	}
+	return vs
 }
 
 // --- call extraction ---

@@ -171,6 +171,14 @@ func (a *pkgAnalysis) setLocal(obj types.Object, mask TaintMask) {
 	}
 }
 
+// fieldTainted asks the store whether another package taints the field
+// and records the answer in the package's assumptions.
+func (a *pkgAnalysis) fieldTainted(key string) bool {
+	t := a.store.FieldTainted(key)
+	a.facts.Assumes[key] = t
+	return t
+}
+
 func (a *pkgAnalysis) setField(key string) {
 	if key == "" {
 		return
@@ -477,7 +485,7 @@ func (a *pkgAnalysis) exprMask(e ast.Expr) TaintMask {
 		if sel, ok := a.p.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
 			if field, ok := sel.Obj().(*types.Var); ok {
 				key := fieldKeyOf(sel.Recv(), field)
-				if key != "" && (a.facts.Fields[key] || a.store.FieldTainted(key)) {
+				if key != "" && (a.facts.Fields[key] || a.fieldTainted(key)) {
 					mask |= RankTaint
 				}
 			}
