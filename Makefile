@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-short chaos chaos-nightly fuzz vet msvet msvet-bench lint trace insight flows bench benchgate benchgate-wall kernels microbench clean
+.PHONY: all build test race race-short chaos chaos-nightly fuzz vet msvet msvet-bench lint trace insight flows bench benchgate benchgate-compute kernels microbench clean
 
 all: lint build test
 
@@ -44,9 +44,8 @@ fuzz:
 # Standard vet plus the repo's own invariant multichecker (cmd/msvet,
 # DESIGN §11, §16): the per-package analyzers plus the interprocedural
 # SPMD collective-sequence matcher. msvet exits 1 on any finding or on
-# a malformed/stale //msvet:allow annotation, 2 on loader errors. The
-# content-hash cache under .msvet-cache/ makes warm reruns replay
-# unchanged packages; -stats prints the hit rate and elapsed seconds.
+# a malformed/stale //msvet:allow annotation, 2 on loader errors;
+# -stats prints the fixpoint rounds and elapsed seconds.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/msvet -stats ./...
@@ -54,8 +53,8 @@ vet:
 msvet:
 	$(GO) run ./cmd/msvet -stats ./...
 
-# The analysis-engine self-benchmark: warm cached passes of the full
-# suite over the whole module (the cache is primed outside the timer).
+# The analysis-engine self-benchmark: full passes of the suite over the
+# whole module, every package loaded and type-checked from source.
 msvet-bench:
 	$(GO) test ./internal/msvet/ -run '^$$' -bench BenchmarkRunRepo -benchtime 3x
 
@@ -109,16 +108,16 @@ benchgate:
 	$(GO) run ./cmd/msbench -exp bench -q -json BENCH_nightly.json
 	$(GO) run ./cmd/benchdiff -fresh BENCH_nightly.json
 
-# The wall-clock gate CI runs on every pull request: rerun the bench
-# sweep and judge only compute_seconds (per sweep run and per
+# The compute gate CI runs on every pull request: rerun the bench sweep
+# and judge only the modeled compute_seconds (per sweep run and per
 # kernel-probe worker point) against the newest committed baseline,
 # failing on regressions past 10%. Improvements and changes to
 # deterministic counters are report-only here — performance PRs
 # legitimately move those and refresh the baseline; this band just
 # stops compute from getting slower.
-benchgate-wall:
-	$(GO) run ./cmd/msbench -exp bench -q -json BENCH_wall.json
-	$(GO) run ./cmd/benchdiff -fresh BENCH_wall.json -wall -wall-tol 0.10
+benchgate-compute:
+	$(GO) run ./cmd/msbench -exp bench -q -json BENCH_compute.json
+	$(GO) run ./cmd/benchdiff -fresh BENCH_compute.json -compute
 
 # The intra-rank kernel surface in one target: worker-pool unit tests,
 # the cross-width byte-equivalence and sweep-determinism suite, and the

@@ -11,14 +11,14 @@
 //
 //	msbench -exp bench -q -json fresh.json
 //	benchdiff -fresh fresh.json [-baseline BENCH_x.json] [-tol 0.05]
-//	benchdiff -fresh fresh.json -wall [-wall-tol 0.10]
+//	benchdiff -fresh fresh.json -compute
 //
-// With -wall, the strict gate is replaced by the wall-clock gate: only
-// compute_seconds is judged (per sweep run and per kernel-probe worker
-// point), failing on regressions past -wall-tol; improvements and
-// changes to every other quantity are report-only. This is the CI band
-// for performance PRs, which legitimately change deterministic
-// counters.
+// With -compute, the strict gate is replaced by the compute gate: only
+// the modeled compute_seconds is judged (per sweep run and per
+// kernel-probe worker point), failing on regressions past 10%;
+// improvements and changes to every other quantity are report-only.
+// This is the CI band for performance PRs, which legitimately change
+// deterministic counters.
 //
 // When -baseline is omitted, the lexically newest BENCH_*.json in the
 // current directory (excluding the fresh file) is used — the
@@ -40,8 +40,7 @@ func main() {
 	fresh := flag.String("fresh", "", "fresh bench snapshot to gate (required)")
 	baseline := flag.String("baseline", "", "baseline snapshot (default: newest BENCH_*.json here)")
 	tol := flag.Float64("tol", 0.05, "allowed fractional regression in modeled stage times")
-	wall := flag.Bool("wall", false, "wall-clock gate: judge only compute_seconds regressions")
-	wallTol := flag.Float64("wall-tol", 0.10, "allowed fractional compute_seconds regression with -wall")
+	compute := flag.Bool("compute", false, "compute gate: judge only modeled compute_seconds regressions")
 	flag.Parse()
 
 	if *fresh == "" {
@@ -74,8 +73,8 @@ func main() {
 	fmt.Println()
 
 	var violations []string
-	if *wall {
-		violations = experiments.CompareBenchWall(base, got, *wallTol)
+	if *compute {
+		violations = experiments.CompareBenchCompute(base, got)
 	} else {
 		violations = experiments.CompareBench(base, got, *tol)
 	}
@@ -87,9 +86,9 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	if *wall {
-		fmt.Printf("benchdiff: OK — %s within wall band of baseline %s (%d runs, compute_seconds tolerance %.0f%%)\n",
-			*fresh, *baseline, len(base.Runs), 100**wallTol)
+	if *compute {
+		fmt.Printf("benchdiff: OK — %s within compute band of baseline %s (%d runs, compute_seconds tolerance %.0f%%)\n",
+			*fresh, *baseline, len(base.Runs), 100*experiments.ComputeTolerance)
 		return
 	}
 	fmt.Printf("benchdiff: OK — %s matches baseline %s (%d runs, stage-time tolerance %.0f%%)\n",

@@ -141,10 +141,11 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if err := (&grid.Volume{Dims: dims, DType: dtype, Data: samples}).CheckNaN(); err != nil {
+	vol := &grid.Volume{Dims: dims, DType: dtype, Data: samples}
+	if err := vol.CheckNaN(); err != nil {
 		fatalf("%s: %v", *in, err)
 	}
-	lo, hi := rangeOf(samples)
+	lo, hi := vol.Range()
 
 	res, err := pipeline.Run(cluster, pipeline.Params{
 		File:            "input.raw",
@@ -282,22 +283,6 @@ func parseAvoid(avoidList, reportPath string, procs int) ([]int, error) {
 		}
 	}
 	return avoid, nil
-}
-
-func rangeOf(samples []float32) (lo, hi float32) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	lo, hi = samples[0], samples[0]
-	for _, s := range samples {
-		if s < lo {
-			lo = s
-		}
-		if s > hi {
-			hi = s
-		}
-	}
-	return
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"parms/internal/grid"
+)
 
 func TestParseMerge(t *testing.T) {
 	cases := []struct {
@@ -47,12 +51,15 @@ func TestParseMerge(t *testing.T) {
 	}
 }
 
+// TestRangeOf pins the value range msc scales -persistence by: the
+// minimum and maximum sample, or (0, 0) for no samples.
 func TestRangeOf(t *testing.T) {
-	lo, hi := rangeOf([]float32{3, -1, 4, 1, 5})
+	vol := &grid.Volume{Dims: grid.Dims{5, 1, 1}, Data: []float32{3, -1, 4, 1, 5}}
+	lo, hi := vol.Range()
 	if lo != -1 || hi != 5 {
 		t.Fatalf("range [%v, %v]", lo, hi)
 	}
-	lo, hi = rangeOf(nil)
+	lo, hi = (&grid.Volume{}).Range()
 	if lo != 0 || hi != 0 {
 		t.Fatalf("empty range [%v, %v]", lo, hi)
 	}

@@ -236,14 +236,18 @@ func CompareBench(baseline, fresh *BenchResult, tol float64) []string {
 	return violations
 }
 
-// CompareBenchWall is the wall-clock gate: it judges only the modeled
+// ComputeTolerance is the fractional compute_seconds regression the
+// compute gate allows.
+const ComputeTolerance = 0.10
+
+// CompareBenchCompute is the compute gate: it judges only the modeled
 // compute_seconds of the sweep runs and of the intra-rank kernel probe,
-// failing when a fresh value regresses past wallTol over the baseline.
-// Improvements always pass and nothing is matched exactly — this gate
-// answers "did the PR make compute slower", nothing else. Runs or probe
-// points present in the baseline but absent from the fresh sweep still
-// fail: a gate cannot pass by measuring less.
-func CompareBenchWall(baseline, fresh *BenchResult, wallTol float64) []string {
+// failing when a fresh value regresses past ComputeTolerance over the
+// baseline. Improvements always pass and nothing is matched exactly —
+// this gate answers "did the PR make modeled compute slower", nothing
+// else. Runs or probe points present in the baseline but absent from
+// the fresh sweep still fail: a gate cannot pass by measuring less.
+func CompareBenchCompute(baseline, fresh *BenchResult) []string {
 	var violations []string
 	index := make(map[int]BenchRun, len(fresh.Runs))
 	for _, r := range fresh.Runs {
@@ -253,21 +257,21 @@ func CompareBenchWall(baseline, fresh *BenchResult, wallTol float64) []string {
 		got, ok := index[base.Procs]
 		if !ok {
 			violations = append(violations,
-				fmt.Sprintf("wall: procs=%d run missing from fresh sweep", base.Procs))
+				fmt.Sprintf("compute: procs=%d run missing from fresh sweep", base.Procs))
 			continue
 		}
-		if got.ComputeSeconds > base.ComputeSeconds*(1+wallTol) {
+		if got.ComputeSeconds > base.ComputeSeconds*(1+ComputeTolerance) {
 			violations = append(violations, fmt.Sprintf(
-				"wall: procs=%d compute_seconds regressed %.4f -> %.4f (+%.1f%%, tolerance %.0f%%)",
+				"compute: procs=%d compute_seconds regressed %.4f -> %.4f (+%.1f%%, tolerance %.0f%%)",
 				base.Procs, base.ComputeSeconds, got.ComputeSeconds,
-				100*(got.ComputeSeconds/base.ComputeSeconds-1), 100*wallTol))
+				100*(got.ComputeSeconds/base.ComputeSeconds-1), 100*ComputeTolerance))
 		}
 	}
 	if baseline.ComputeKernel == nil {
 		return violations
 	}
 	if fresh.ComputeKernel == nil {
-		return append(violations, "wall: compute kernel probe missing from fresh sweep")
+		return append(violations, "compute: compute kernel probe missing from fresh sweep")
 	}
 	gotPW := make(map[int]KernelPoint, len(fresh.ComputeKernel.PerWorker))
 	for _, p := range fresh.ComputeKernel.PerWorker {
@@ -277,14 +281,14 @@ func CompareBenchWall(baseline, fresh *BenchResult, wallTol float64) []string {
 		gp, ok := gotPW[bp.Workers]
 		if !ok {
 			violations = append(violations, fmt.Sprintf(
-				"wall: kernel workers=%d point missing from fresh sweep", bp.Workers))
+				"compute: kernel workers=%d point missing from fresh sweep", bp.Workers))
 			continue
 		}
-		if gp.ComputeSeconds > bp.ComputeSeconds*(1+wallTol) {
+		if gp.ComputeSeconds > bp.ComputeSeconds*(1+ComputeTolerance) {
 			violations = append(violations, fmt.Sprintf(
-				"wall: kernel workers=%d compute_seconds regressed %.4f -> %.4f (+%.1f%%, tolerance %.0f%%)",
+				"compute: kernel workers=%d compute_seconds regressed %.4f -> %.4f (+%.1f%%, tolerance %.0f%%)",
 				bp.Workers, bp.ComputeSeconds, gp.ComputeSeconds,
-				100*(gp.ComputeSeconds/bp.ComputeSeconds-1), 100*wallTol))
+				100*(gp.ComputeSeconds/bp.ComputeSeconds-1), 100*ComputeTolerance))
 		}
 	}
 	return violations

@@ -80,6 +80,20 @@ func TestVolumeRange(t *testing.T) {
 	if lo != -9 || hi != 6 {
 		t.Fatalf("range [%v, %v]", lo, hi)
 	}
+	// Non-finite samples do not widen the range.
+	v.Data[0] = float32(math.Inf(1))
+	v.Data[7] = float32(math.Inf(-1))
+	v.Data[3] = float32(math.NaN())
+	if lo, hi := v.Range(); lo != -9 || hi != 5 {
+		t.Fatalf("range with ±Inf and NaN [%v, %v], want [-9, 5]", lo, hi)
+	}
+	v.Data = v.Data[:1]
+	if lo, hi := v.Range(); lo != 0 || hi != 0 {
+		t.Fatalf("range of only +Inf [%v, %v], want [0, 0]", lo, hi)
+	}
+	if lo, hi := (&Volume{}).Range(); lo != 0 || hi != 0 {
+		t.Fatalf("empty range [%v, %v]", lo, hi)
+	}
 }
 
 // TestDecomposeProperties: any decomposition covers every vertex, blocks

@@ -98,19 +98,25 @@ func (v *Volume) At(x, y, z int) float32 { return v.Data[v.VertIndex(x, y, z)] }
 // Set stores a sample at vertex (x, y, z).
 func (v *Volume) Set(x, y, z int, f float32) { v.Data[v.VertIndex(x, y, z)] = f }
 
-// Range returns the minimum and maximum sample values.
+// Range returns the minimum and maximum finite sample values, or (0, 0)
+// when there are none. ±Inf and NaN samples are skipped: the range
+// scales the relative persistence threshold, and one infinite sample
+// would make that threshold infinite and simplify everything away.
 func (v *Volume) Range() (lo, hi float32) {
-	if len(v.Data) == 0 {
-		return 0, 0
-	}
-	lo, hi = v.Data[0], v.Data[0]
+	lo, hi = float32(math.Inf(1)), float32(math.Inf(-1))
 	for _, f := range v.Data {
+		if math.IsInf(float64(f), 0) || f != f {
+			continue
+		}
 		if f < lo {
 			lo = f
 		}
 		if f > hi {
 			hi = f
 		}
+	}
+	if lo > hi {
+		return 0, 0
 	}
 	return lo, hi
 }

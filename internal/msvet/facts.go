@@ -6,10 +6,8 @@ package msvet
 // sequence summaries, field-taint bits, and the Send/Recv tag table —
 // that importing packages consume instead of re-reading the callee's
 // source. The shape mirrors golang.org/x/tools/go/analysis Facts: facts
-// are computed once per package in dependency order, are serializable
-// (JSON, so the content-hash cache can replay them without
-// type-checking), and are keyed by stable string object keys rather
-// than *types.Object pointers, which do not survive a cache round trip.
+// are computed once per package in dependency order and are keyed by
+// stable string object keys ("Name", "(T).Name", "pkg.(T).field").
 
 import (
 	"go/types"
@@ -76,9 +74,9 @@ const (
 // digests for uniform-count loops, and "call:pkg.fn" markers for
 // opaque callees that may perform collectives.
 type Variant struct {
-	Seq    []string  `json:"seq,omitempty"`
-	Dep    uint8     `json:"dep,omitempty"`
-	Params TaintMask `json:"params,omitempty"`
+	Seq    []string
+	Dep    uint8
+	Params TaintMask
 }
 
 // A Summary is a function's collective-sequence fact: the set of
@@ -86,9 +84,9 @@ type Variant struct {
 // the function blew the enumeration caps (or recursion), so callers
 // treat the whole call as one opaque element instead of inlining.
 type Summary struct {
-	Variants []Variant `json:"variants,omitempty"`
-	May      bool      `json:"may,omitempty"`
-	Opaque   bool      `json:"opaque,omitempty"`
+	Variants []Variant
+	May      bool
+	Opaque   bool
 }
 
 // A TagUse is one Send/Recv-family call site with a statically
@@ -98,12 +96,12 @@ type Summary struct {
 // //msvet:allow sendrecv annotation, so the repo-wide Finish matching
 // can honor suppressions without re-reading source.
 type TagUse struct {
-	Key     string `json:"key"`
-	Expr    string `json:"expr"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Allowed bool   `json:"allowed,omitempty"`
+	Key     string
+	Expr    string
+	File    string
+	Line    int
+	Col     int
+	Allowed bool
 }
 
 // PackageFacts is everything one package exports to its importers.
@@ -115,15 +113,15 @@ type TagUse struct {
 // elsewhere in the module, for this package and (merged in) its module
 // imports. The facts and findings hold under any global field set that
 // gives the same answers, which is what lets the runner keep them
-// across fixpoint rounds and the cache replay them.
+// across fixpoint rounds.
 type PackageFacts struct {
-	Path      string                 `json:"path"`
-	Taint     map[string][]TaintMask `json:"taint,omitempty"`
-	Fields    map[string]bool        `json:"fields,omitempty"`
-	Summaries map[string]Summary     `json:"summaries,omitempty"`
-	SendTags  []TagUse               `json:"send_tags,omitempty"`
-	RecvTags  []TagUse               `json:"recv_tags,omitempty"`
-	Assumes   map[string]bool        `json:"assumes,omitempty"`
+	Path      string
+	Taint     map[string][]TaintMask
+	Fields    map[string]bool
+	Summaries map[string]Summary
+	SendTags  []TagUse
+	RecvTags  []TagUse
+	Assumes   map[string]bool
 }
 
 func newPackageFacts(path string) *PackageFacts {
@@ -181,10 +179,11 @@ func fieldKeyOf(recv types.Type, field *types.Var) string {
 }
 
 // A FactStore holds the facts of every package touched by one analysis
-// run — computed from source, or replayed from the cache — and computes
-// missing ones on demand in import order. It is safe for concurrent use
-// by the parallel runner: distinct packages compute under distinct
-// entry locks, and the import DAG is acyclic so lock order is too.
+// round — computed from source, or carried over from the previous
+// round — and computes missing ones on demand in import order. It is
+// safe for concurrent use by the parallel runner: distinct packages
+// compute under distinct entry locks, and the import DAG is acyclic so
+// lock order is too.
 //
 // Cross-package field taint is read from a frozen set (tainted), never
 // from sibling entries still being computed, so a package's verdict
@@ -238,9 +237,9 @@ func (s *FactStore) entry(path string) *factEntry {
 	return e
 }
 
-// AddCached installs facts replayed from the content-hash cache, so
-// importers consume them without the package ever being type-checked.
-func (s *FactStore) AddCached(path string, facts *PackageFacts) {
+// carry installs facts from an earlier round whose answers still hold,
+// so importers consume them without the package being analyzed again.
+func (s *FactStore) carry(path string, facts *PackageFacts) {
 	e := s.entry(path)
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -274,9 +273,9 @@ func (s *FactStore) Facts(path string) (*PackageFacts, error) {
 }
 
 // EnsureFor computes (or returns) the analysis state of an
-// already-loaded package. Unlike Facts it never consults the cache-fed
+// already-loaded package. Unlike Facts it never settles for carried
 // facts alone: analyzers need the in-memory state (taint environments,
-// pending diagnostics), so a cached-facts-only entry is recomputed.
+// pending diagnostics), so a facts-only entry is recomputed.
 func (s *FactStore) EnsureFor(p *Package) (*pkgAnalysis, error) {
 	e := s.entry(p.Pkg.Path())
 	e.mu.Lock()

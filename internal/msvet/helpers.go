@@ -6,7 +6,7 @@ import (
 )
 
 // mpsimPath is the import path of the message-passing substrate whose
-// call discipline the collective and droppederr analyzers enforce.
+// call discipline the spmd and droppederr analyzers enforce.
 const mpsimPath = "parms/internal/mpsim"
 
 // pkgFunc resolves a call to a package-level function and returns its

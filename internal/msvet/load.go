@@ -72,9 +72,6 @@ func NewLoader(modRoot, modPath string) *Loader {
 // ModPath returns the module path the loader is rooted at.
 func (l *Loader) ModPath() string { return l.modPath }
 
-// ModRoot returns the module root directory.
-func (l *Loader) ModRoot() string { return l.modRoot }
-
 func (l *Loader) entry(path string) *loadEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -129,6 +126,23 @@ func (l *Loader) dirOf(path string) string {
 		}
 	}
 	return dir
+}
+
+// Imports returns the module-internal imports of a package, scanned
+// from file headers only (no type-checking): the edges of the runner's
+// dependency waves.
+func (l *Loader) Imports(path string) ([]string, error) {
+	bp, err := l.ctx.ImportDir(l.dirOf(path), 0)
+	if err != nil {
+		return nil, err
+	}
+	var deps []string
+	for _, imp := range bp.Imports {
+		if imp == l.modPath || strings.HasPrefix(imp, l.modPath+"/") {
+			deps = append(deps, imp)
+		}
+	}
+	return deps, nil
 }
 
 func exists(dir string) bool {

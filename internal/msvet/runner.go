@@ -2,9 +2,8 @@ package msvet
 
 // runner.go is the analysis driver: it schedules packages in dependency
 // waves (a package runs only after every module dependency has facts),
-// fans each wave out over the repo's own kernel.Pool, consults the
-// content-hash cache before doing any real work, repeats rounds until
-// cross-package field taint is a fixpoint, and finally runs the
+// fans each wave out over the repo's own kernel.Pool, repeats rounds
+// until cross-package field taint is a fixpoint, and finally runs the
 // repo-wide Finish hooks over the completed fact store. This is the
 // one entry point cmd/msvet, the repo-clean test, and the benchmark all
 // share, so their findings are identical by construction.
@@ -22,20 +21,15 @@ type Runner struct {
 	Loader      *Loader
 	Analyzers   []*Analyzer
 	CheckAllows bool
-	// Cache, when non-nil, replays unchanged packages' findings and
-	// facts without loading them.
-	Cache *Cache
 	// Workers bounds the per-wave parallelism; 0 means one worker per
 	// logical CPU (kernel.AutoWorkers for a single "rank").
 	Workers int
 }
 
-// RunStats reports what a run actually did, for -stats output and the
-// cache-correctness tests.
+// RunStats reports what a run did, for -stats output.
 type RunStats struct {
-	Packages  int      // packages requested
-	CacheHits int      // replayed from cache
-	Analyzed  []string // paths that were loaded and analyzed, sorted
+	Packages int   // packages requested
+	Rounds   []int // packages analyzed in each fixpoint round
 }
 
 // Run analyzes the given module packages and returns the merged,
@@ -59,8 +53,8 @@ func (r *Runner) Run(paths []string) ([]Finding, *RunStats, error) {
 	}
 	pool := kernel.New(workers)
 
+	stats := &RunStats{Packages: len(paths)}
 	results := map[string][]Finding{}
-	analyzed := map[string]bool{}
 	todo := map[string]bool{}
 	for _, p := range paths {
 		todo[p] = true
@@ -68,9 +62,10 @@ func (r *Runner) Run(paths []string) ([]Finding, *RunStats, error) {
 	var tainted map[string]bool
 	store := newRoundStore(r.Loader.ModPath(), r.Loader.Load, tainted)
 	for {
-		if err := r.runRound(pool, waves, todo, store, results, analyzed); err != nil {
+		if err := r.runRound(pool, waves, todo, store, results); err != nil {
 			return nil, nil, err
 		}
+		stats.Rounds = append(stats.Rounds, len(todo))
 		grown := store.taintedFields()
 		if len(grown) == len(tainted) {
 			break
@@ -79,7 +74,7 @@ func (r *Runner) Run(paths []string) ([]Finding, *RunStats, error) {
 		next := newRoundStore(r.Loader.ModPath(), r.Loader.Load, tainted)
 		for _, path := range store.Paths() {
 			if facts := store.factsOf(path); next.holds(facts) {
-				next.AddCached(path, facts)
+				next.carry(path, facts)
 			}
 		}
 		todo = map[string]bool{}
@@ -91,28 +86,22 @@ func (r *Runner) Run(paths []string) ([]Finding, *RunStats, error) {
 		store = next
 	}
 
-	stats := &RunStats{Packages: len(paths)}
 	var findings []Finding
 	for _, p := range paths {
 		findings = append(findings, results[p]...)
-		if analyzed[p] {
-			stats.Analyzed = append(stats.Analyzed, p)
-		}
 	}
-	stats.CacheHits = len(paths) - len(stats.Analyzed)
 	for _, a := range r.Analyzers {
 		if a.Finish != nil {
 			findings = append(findings, a.Finish(store)...)
 		}
 	}
 	sortFindings(findings)
-	sort.Strings(stats.Analyzed)
 	return findings, stats, nil
 }
 
-// runRound analyzes (or replays) the todo packages wave by wave into
-// store, recording each one's findings and whether real work happened.
-func (r *Runner) runRound(pool *kernel.Pool, waves [][]string, todo map[string]bool, store *FactStore, results map[string][]Finding, analyzed map[string]bool) error {
+// runRound analyzes the todo packages wave by wave into store,
+// recording each one's findings.
+func (r *Runner) runRound(pool *kernel.Pool, waves [][]string, todo map[string]bool, store *FactStore, results map[string][]Finding) error {
 	var mu sync.Mutex
 	var firstErr error
 	for _, wave := range waves {
@@ -125,13 +114,16 @@ func (r *Runner) runRound(pool *kernel.Pool, waves [][]string, todo map[string]b
 		pool.Run(len(run), 1, func(_, _, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				path := run[i]
-				fs, did, err := r.runOne(path, store)
+				p, err := r.Loader.Load(path)
+				var fs []Finding
+				if err == nil {
+					fs, err = RunPackage(p, r.Analyzers, r.CheckAllows, store)
+				}
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err
 				}
 				results[path] = fs
-				analyzed[path] = analyzed[path] || did
 				mu.Unlock()
 			}
 		})
@@ -140,39 +132,6 @@ func (r *Runner) runRound(pool *kernel.Pool, waves [][]string, todo map[string]b
 		}
 	}
 	return nil
-}
-
-// runOne analyzes (or replays) one package. analyzed reports whether
-// real work happened.
-func (r *Runner) runOne(path string, store *FactStore) (fs []Finding, analyzed bool, err error) {
-	var key string
-	if r.Cache != nil {
-		key, err = r.Cache.Key(path)
-		if err == nil && key != "" {
-			if e, ok := r.Cache.Get(key, store.holds); ok {
-				store.AddCached(path, e.Facts)
-				return e.Findings, false, nil
-			}
-		}
-		// An unreadable key (fresh syntax error in a header) falls
-		// through to the real load, which reports it properly.
-		err = nil
-	}
-	p, err := r.Loader.Load(path)
-	if err != nil {
-		return nil, true, err
-	}
-	fs, err = RunPackage(p, r.Analyzers, r.CheckAllows, store)
-	if err != nil {
-		return nil, true, err
-	}
-	if r.Cache != nil && key != "" {
-		if facts := store.factsOf(path); facts != nil {
-			// Best effort: a failed write costs the next run a recompute.
-			_ = r.Cache.Put(key, &CacheEntry{Findings: fs, Facts: facts})
-		}
-	}
-	return fs, true, nil
 }
 
 // waves topologically layers the requested packages: wave k holds the
@@ -235,26 +194,12 @@ func (r *Runner) waves(paths []string) ([][]string, error) {
 	return waves, nil
 }
 
-// depGraph scans module-internal imports from file headers — through
-// the cache's scanner when present (shared memoization), or a throwaway
-// one otherwise.
+// depGraph scans the module-internal imports of each package from its
+// file headers.
 func (r *Runner) depGraph(paths []string) (map[string][]string, error) {
-	c := r.Cache
-	if c == nil {
-		// Header scanning needs no cache directory; a bare scanner with
-		// the same memoization shape does the job.
-		c = &Cache{
-			modRoot: r.Loader.ModRoot(),
-			modPath: r.Loader.ModPath(),
-			ctx:     buildCtxNoCgo(),
-			keys:    map[string]string{},
-			deps:    map[string][]string{},
-			err:     map[string]error{},
-		}
-	}
 	graph := map[string][]string{}
 	for _, p := range paths {
-		deps, err := c.Deps(p)
+		deps, err := r.Loader.Imports(p)
 		if err != nil {
 			return nil, fmt.Errorf("msvet: scan %s: %w", p, err)
 		}

@@ -28,6 +28,19 @@ import (
 	"strings"
 )
 
+// collectiveMethods are the mpsim.Rank operations every rank must enter
+// in the same order: the blocking collectives plus collective IO. A
+// call reached by only some ranks deadlocks the cluster or silently
+// mismatches payloads.
+var collectiveMethods = map[string]bool{
+	"Barrier": true, "Bcast": true,
+	"ReduceFloat64": true, "ReduceInt64": true,
+	"AllreduceFloat64": true, "AllreduceMaxTime": true,
+	"Gather": true, "AllgatherInt64": true,
+	"Scatter": true, "Alltoall": true,
+	"CollectiveWrite": true, "CollectiveRead": true,
+}
+
 // SpmdAnalyzer reports rank-divergent collective sequences. The heavy
 // lifting happens during fact computation (analyzePackage); Run replays
 // the pending diagnostics through the Pass so //msvet:allow filtering
@@ -483,6 +496,8 @@ func (b *summaryBuilder) returnStmt(s *ast.ReturnStmt, cur []pvar) []pvar {
 // error in the function's final error result — in this codebase that is
 // a cluster abort (mpsim joins rank errors and tears the run down), not
 // a divergent path, so such paths are excluded from sequence matching.
+// Returning a collective's own error (return r.CollectiveWrite(...)) is
+// a normal return: the collective usually succeeds.
 func (b *summaryBuilder) returnsError(s *ast.ReturnStmt) bool {
 	if b.sig == nil || b.sig.Results().Len() == 0 {
 		return false
@@ -498,6 +513,11 @@ func (b *summaryBuilder) returnsError(s *ast.ReturnStmt) bool {
 	le := ast.Unparen(s.Results[len(s.Results)-1])
 	if id, ok := le.(*ast.Ident); ok && id.Name == "nil" {
 		return false
+	}
+	if call, ok := le.(*ast.CallExpr); ok {
+		if name, ok := methodOn(b.a.p.Info, call, mpsimPath, "Rank"); ok && collectiveMethods[name] {
+			return false
+		}
 	}
 	return true
 }
@@ -596,8 +616,8 @@ func (b *summaryBuilder) typeSwitchStmt(s *ast.TypeSwitchStmt, cur []pvar) []pva
 // selectStmt treats comm-clause selection as rank-uniform: select in
 // this codebase appears only in host-side plumbing, never between
 // collectives, and labeling scheduler nondeterminism as rank-dependence
-// would drown real findings. The droppederr and collective analyzers
-// still see inside the arms.
+// would drown real findings. The droppederr analyzer still sees inside
+// the arms.
 func (b *summaryBuilder) selectStmt(s *ast.SelectStmt, cur []pvar) []pvar {
 	alive, done := splitVars(cur)
 	if len(alive) == 0 {
@@ -781,6 +801,24 @@ func evalCalls(n ast.Node, visit func(*ast.CallExpr)) {
 	default:
 		children(n, func(c ast.Node) { evalCalls(c, visit) })
 	}
+}
+
+// children invokes f once for each immediate child of n, by reusing
+// ast.Inspect and stopping below the first level. ast.Inspect has no
+// native one-level iterator, so we track the root.
+func children(n ast.Node, f func(ast.Node)) {
+	first := true
+	ast.Inspect(n, func(c ast.Node) bool {
+		if c == nil {
+			return false
+		}
+		if first {
+			first = false
+			return true
+		}
+		f(c)
+		return false
+	})
 }
 
 // exprCalls threads cur through every call inside the expression.

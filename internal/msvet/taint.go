@@ -1,12 +1,11 @@
 package msvet
 
-// taint.go is the interprocedural rank-taint engine (DESIGN §16). It
-// replaces the collective analyzer's one-step `root := r.ID() == 0`
-// special case with a dataflow over the whole call graph: any value
-// derived — through assignments, struct fields, return values, or
-// implicit control flow — from the rank identity (Rank.ID, the mpsim
-// rank id field, or root-asymmetric collective results) is tainted, and
-// the branches it guards are rank-conditional.
+// taint.go is the interprocedural rank-taint engine (DESIGN §16): a
+// dataflow over the whole call graph in which any value derived —
+// through assignments, struct fields, return values, or implicit
+// control flow — from the rank identity (Rank.ID, the mpsim rank id
+// field, or root-asymmetric collective results) is tainted, and the
+// branches it guards are rank-conditional.
 //
 // OwnerTable lookups taint exactly when queried with rank-derived keys:
 // the grid package's own facts record that Blocks(rank)'s result flows
@@ -253,13 +252,19 @@ func (a *pkgAnalysis) taintStmt(s ast.Stmt, fi funcInfo, ctrl TaintMask) {
 		a.taintStmt(s.Body, fi, c)
 		a.taintStmt(s.Else, fi, c)
 	case *ast.ForStmt:
-		a.taintStmt(s.Init, fi, ctrl)
-		c := ctrl
-		if s.Cond != nil {
-			c |= a.exprMask(s.Cond)
+		// Init and Post run exactly when the loop does, so the
+		// enclosing branches' taint says where the loop runs, not how
+		// often. A loop-scoped induction variable therefore takes none
+		// of it, and the bound is judged by its own taint: `for i := 0;
+		// i < n; i++` under a rank branch is not rank-bounded.
+		iter := ctrl
+		if inductionOnly(s, a.p.Info) {
+			iter = 0
 		}
-		a.taintStmt(s.Post, fi, c)
-		a.taintStmt(s.Body, fi, c)
+		a.taintStmt(s.Init, fi, iter)
+		cond := a.exprMask(s.Cond)
+		a.taintStmt(s.Post, fi, iter|cond)
+		a.taintStmt(s.Body, fi, ctrl|cond)
 	case *ast.RangeStmt:
 		c := ctrl | a.exprMask(s.X)
 		if s.Tok == token.DEFINE || s.Tok == token.ASSIGN {
@@ -366,6 +371,38 @@ func (a *pkgAnalysis) taintStmt(s ast.Stmt, fi funcInfo, ctrl TaintMask) {
 	case *ast.SendStmt:
 		// Channel sends carry no rank-local state we track.
 	}
+}
+
+// inductionOnly reports whether a for statement's Init declares its
+// variables (i := ...) and its Post writes only those.
+func inductionOnly(s *ast.ForStmt, info *types.Info) bool {
+	init, ok := s.Init.(*ast.AssignStmt)
+	if !ok || init.Tok != token.DEFINE {
+		return false
+	}
+	declared := map[types.Object]bool{}
+	for _, lhs := range init.Lhs {
+		if id, ok := lhs.(*ast.Ident); ok {
+			declared[info.Defs[id]] = true
+		}
+	}
+	var targets []ast.Expr
+	switch post := s.Post.(type) {
+	case nil:
+	case *ast.IncDecStmt:
+		targets = []ast.Expr{post.X}
+	case *ast.AssignStmt:
+		targets = post.Lhs
+	default:
+		return false
+	}
+	for _, t := range targets {
+		id, ok := ast.Unparen(t).(*ast.Ident)
+		if !ok || !declared[objOf(info, id)] {
+			return false
+		}
+	}
+	return true
 }
 
 // taintFuncLits walks function-literal bodies found inside an

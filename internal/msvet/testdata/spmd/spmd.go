@@ -103,3 +103,15 @@ func goodAbort(r *mpsim.Rank, err error) error {
 	r.Barrier()
 	return nil
 }
+
+// The bound's own taint still counts: k is set under an earlier rank
+// branch, so ranks run the loop different numbers of times.
+func badBoundFromBranch(r *mpsim.Rank, n int) {
+	k := 0
+	if r.ID() == 0 {
+		k = n
+	}
+	for i := 0; i < k; i++ { // want `spmd: collectives inside a loop whose iteration count is rank-dependent`
+		r.Barrier()
+	}
+}

@@ -266,6 +266,28 @@ func TestPublicEventLog(t *testing.T) {
 	}
 }
 
+// TestInfSampleKeepsFiniteThreshold: an infinite sample does not widen
+// the value range, so the relative persistence threshold stays finite
+// and the complex is not simplified down to a single minimum.
+func TestInfSampleKeepsFiniteThreshold(t *testing.T) {
+	vol := Sinusoid(17, 2)
+	lo, hi := vol.Range()
+	vol.Set(8, 8, 8, float32(math.Inf(1)))
+	if l, h := vol.Range(); l != lo || h != hi {
+		t.Fatalf("range with +Inf [%v, %v], want [%v, %v]", l, h, lo, hi)
+	}
+	res, err := Compute(vol, Options{Procs: 8, FullMerge: true, Persistence: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes[0] <= 1 {
+		t.Fatalf("nodes %v: everything simplified to one minimum", res.Nodes)
+	}
+	if want, _ := ComputeSerial(vol, 0.01).AliveCounts(); res.Nodes != want {
+		t.Fatalf("parallel nodes %v, serial %v", res.Nodes, want)
+	}
+}
+
 // TestNaNRejected: a NaN sample has no place in the vertex order the
 // gradient stage sorts by, so both library entry points refuse the
 // input with ErrNaN before a rank runs, and the in-situ source is
