@@ -2,25 +2,93 @@ package merge
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"parms/internal/cube"
+	"parms/internal/fault"
 	"parms/internal/gradient"
 	"parms/internal/grid"
 	"parms/internal/mpsim"
 	"parms/internal/mscomplex"
+	"parms/internal/obs"
 	"parms/internal/synth"
+	"parms/internal/vtime"
 )
+
+// blockComplex computes the complex of a real one-block volume.
+func blockComplex() *mscomplex.Complex {
+	vol := synth.Sinusoid(13, 2)
+	block := grid.Block{ID: 0, Lo: [3]int{0, 0, 0}, Hi: [3]int{12, 12, 12}}
+	f := gradient.Compute(cube.New(vol.Dims, block, vol), nil)
+	return mscomplex.FromField(f, nil, mscomplex.TraceOptions{}).Complex
+}
 
 // framedPayload builds the framed wire form of a real block complex,
 // exactly what Execute's phase 1 puts on the network.
 func framedPayload(tb testing.TB) []byte {
 	tb.Helper()
-	vol := synth.Sinusoid(13, 2)
-	block := grid.Block{ID: 0, Lo: [3]int{0, 0, 0}, Hi: [3]int{12, 12, 12}}
-	f := gradient.Compute(cube.New(vol.Dims, block, vol), nil)
-	ms := mscomplex.FromField(f, nil, mscomplex.TraceOptions{}).Complex
-	return mpsim.Frame(ms.Serialize())
+	return mpsim.Frame(blockComplex().Serialize())
+}
+
+// TestChaosSpeculativeCorruptPayloadLogged: a member payload that is
+// both late and corrupt wins the speculation race on arrival time but
+// fails its checksum, so the speculative recompute is adopted. The
+// rejection must be counted, traced and logged exactly as an on-time
+// corrupt payload is.
+func TestChaosSpeculativeCorruptPayloadLogged(t *testing.T) {
+	var buf bytes.Buffer
+	ob := obs.New(2)
+	ob.Log = obs.NewJSONLogger(&buf)
+	c, err := mpsim.New(mpsim.Config{Procs: 2, Obs: ob, RecvGrace: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := framedPayload(t)
+	bad[len(bad)/2] ^= 0x20
+	rep := &fault.Report{}
+	opts := Options{
+		Timeout: 1e-9,
+		Report:  rep,
+		// A recompute far slower than the payload's transfer, so the
+		// payload is taken first.
+		Recompute: func(rk *mpsim.Rank, _ *fault.Report, _ int) (*mscomplex.Complex, error) {
+			rk.Compute(vtime.Work{CellsVisited: 1e7})
+			return blockComplex(), nil
+		},
+	}
+	sched := Schedule{Radices: []int{2}}
+	tag := tagMergeBase + 1
+	var got *mscomplex.Complex
+	_, err = c.Run(func(r *mpsim.Rank) error {
+		if r.ID() == 1 {
+			r.Send(0, tag, bad)
+			return nil
+		}
+		if _, _, ok := r.RecvTimeout(1, tag, opts.Timeout); ok {
+			return fmt.Errorf("payload arrived within %v s", opts.Timeout)
+		}
+		got, _ = speculate(r, sched, 2, 1, 1, tag, 0, opts)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == nil || rep.Corruptions != 1 || rep.SpeculationRecomputeWins != 1 {
+		t.Fatalf("recovered %v, report %v; want the recompute adopted after 1 corruption", got != nil, rep)
+	}
+	if n := strings.Count(buf.String(), `"msg":"fault.corrupt"`); n != 1 {
+		t.Errorf("log has %d fault.corrupt lines, want 1:\n%s", n, buf.String())
+	}
+	var traced bool
+	for _, in := range ob.Trace.Instants(0) {
+		traced = traced || in.Name == "fault:corrupt"
+	}
+	if !traced {
+		t.Error("no fault:corrupt instant on the root's track")
+	}
 }
 
 // TestChaosFramedPayloadCorruptionRejected flips every single byte of a

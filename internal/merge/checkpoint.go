@@ -17,7 +17,7 @@ import (
 // read, replaying any later rounds locally — turning late-round
 // recovery from O(subtree recompute) into O(payload read). Writes are
 // independent (no collective synchronization) and non-fatal: a failed
-// or corrupted checkpoint only means recovery falls back to Rebuild.
+// or corrupted checkpoint only means recovery falls back to rebuild.
 type Checkpoint struct {
 	// Dir is the checkpoint directory on the simulated filesystem;
 	// empty selects "ckpt".
@@ -28,8 +28,8 @@ type Checkpoint struct {
 	// GC reclaims superseded checkpoints: once a root's round-r state is
 	// safely on disk, the older checkpoints of every block in its
 	// subtree cover strictly less progress and are deleted. The trade:
-	// if the new file is later found corrupted, Restore can no longer
-	// probe an older round and recovery degrades to Rebuild — still
+	// if the new file is later found corrupted, restore can no longer
+	// probe an older round and recovery degrades to rebuild — still
 	// correct, just slower. GC runs only after a successful write.
 	GC bool
 }
@@ -90,10 +90,7 @@ func (c *Checkpoint) gc(r *mpsim.Rank, sched Schedule, nblocks, round, block int
 	if !c.GC {
 		return
 	}
-	end := block + sched.Stride(round+1)
-	if end > nblocks {
-		end = nblocks
-	}
+	end := min(block+sched.Stride(round+1), nblocks)
 	var files int
 	var bytes int64
 	for k := round - 1; k >= 0; k-- {
@@ -158,13 +155,26 @@ func (c *Checkpoint) read(r *mpsim.Rank, k, block int) (*mscomplex.Complex, int6
 	return ms, size
 }
 
-// Restore serves the complex block carries entering the given round
-// from the newest valid checkpoint covering it: it probes rounds
-// round-1 down to 0 for a checkpoint of block, and on a hit replays any
-// later rounds locally (members recovered recursively, checkpoint
-// first). ok is false when no checkpoint validates — including when no
-// Checkpoint policy is configured — and the caller should Rebuild.
-func Restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Options) (*mscomplex.Complex, bool, error) {
+// Recover returns the complex block carries entering the given round:
+// restored from the newest valid checkpoint when one validates, rebuilt
+// deterministically from source data otherwise. It is the only way a
+// lost subtree comes back, for a lost member, a lost root, a migrated
+// block and a lost surviving block at write time alike.
+func Recover(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Options) (*mscomplex.Complex, error) {
+	ms, ok, err := restore(r, sched, nblocks, block, round, opts)
+	if err != nil || ok {
+		return ms, err
+	}
+	return rebuild(r, sched, nblocks, block, round, opts)
+}
+
+// restore serves the complex block carries entering the given round
+// from the newest valid checkpoint of block itself: it probes rounds
+// round-1 down to 0, and on a hit replays any later rounds locally
+// (members recovered recursively, checkpoint first). ok is false when
+// no checkpoint validates — including when no Checkpoint policy is
+// configured — and the caller should rebuild.
+func restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Options) (*mscomplex.Complex, bool, error) {
 	c := opts.Checkpoint
 	if c == nil {
 		return nil, false, nil
@@ -178,40 +188,17 @@ func Restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 		if ms == nil {
 			continue
 		}
-		// Replay rounds k+1..round-1 of block's subtree: glue each
-		// group member in member order and re-simplify, exactly as the
-		// original merge did, so the result matches the lost state.
-		for rr := k + 1; rr < round; rr++ {
-			for _, g := range sched.RoundGroups(nblocks, rr) {
-				if g.Root != block {
-					continue
-				}
-				for _, m := range g.Members {
-					if m == g.Root {
-						continue
-					}
-					other, err := Recover(r, sched, nblocks, m, rr, opts)
-					if err != nil {
-						return nil, false, err
-					}
-					workBefore := ms.Work
-					ms.Glue(other)
-					r.Compute(workDelta(ms.Work, workBefore))
-				}
-				workBefore := ms.Work
-				ms.Simplify(mscomplex.SimplifyOptions{Threshold: opts.Threshold})
-				next := ms.Compact()
-				r.Compute(workDelta(next.Work, workBefore))
-				ms = next
-			}
+		ms, err := replay(r, sched, nblocks, block, ms, k+1, round, opts.Threshold,
+			func(m, rr int) (*mscomplex.Complex, error) {
+				return Recover(r, sched, nblocks, m, rr, opts)
+			})
+		if err != nil {
+			return nil, false, err
 		}
 		if opts.Report != nil {
 			opts.Report.CheckpointRestores++
 			opts.Report.CheckpointBytesRead += n
-			end := block + sched.Stride(k+1)
-			if end > nblocks {
-				end = nblocks
-			}
+			end := min(block+sched.Stride(k+1), nblocks)
 			for b := block; b < end; b++ {
 				opts.Report.LostBlocks = append(opts.Report.LostBlocks, b)
 				opts.Report.RestoredBlocks = append(opts.Report.RestoredBlocks, b)
@@ -244,18 +231,4 @@ func Restore(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 		reg.Counter("merge_checkpoint_fallbacks_total").Add(1)
 	}
 	return nil, false, nil
-}
-
-// Recover returns the complex block carries entering the given round:
-// restored from the newest valid checkpoint when one validates, rebuilt
-// deterministically from source data otherwise.
-func Recover(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Options) (*mscomplex.Complex, error) {
-	ms, ok, err := Restore(r, sched, nblocks, block, round, opts)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return ms, nil
-	}
-	return Rebuild(r, sched, nblocks, block, round, opts)
 }

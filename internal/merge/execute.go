@@ -42,11 +42,10 @@ type Options struct {
 	// rank/report: speculative recovery runs on a quiet twin with a
 	// scratch report so a cancelled race leaves no trace). When set,
 	// Execute degrades gracefully: a member that times out or arrives
-	// corrupted is excluded from its group's glue, recorded, and
-	// deterministically reconstructed — the compute stage is
-	// deterministic, so the rebuilt subtree is identical to the lost
-	// one. When nil, any missing block is a hard error (the
-	// pre-fault-tolerance behavior).
+	// corrupted is recorded and deterministically reconstructed in its
+	// place — the compute stage is deterministic, so the rebuilt
+	// subtree is identical to the lost one. When nil, any missing block
+	// is a hard error (the pre-fault-tolerance behavior).
 	Recompute func(rk *mpsim.Rank, rep *fault.Report, block int) (*mscomplex.Complex, error)
 	// Report, when non-nil, accumulates this rank's observed fault
 	// events.
@@ -68,7 +67,7 @@ type Options struct {
 	// a newly-observed failure every rank applies the same ownership
 	// update, and the new owners recover the migrated blocks from the
 	// dead rank's checkpoints (the files are keyed by (round, block),
-	// not rank, so discovery is a plain Restore probe) or recompute
+	// not rank, so discovery is a plain checkpoint probe) or recompute
 	// them. Off by default: the exchange costs one collective per
 	// round, so fault-free modeled times are unchanged unless asked
 	// for.
@@ -92,9 +91,9 @@ type Options struct {
 // Every payload travels in a length+CRC32C frame (mpsim.Frame); a root
 // never glues bytes that fail the checksum. With Options.Recompute set,
 // Execute survives rank crashes (at "merge:<round>" checkpoints),
-// dropped, delayed and corrupted messages: affected blocks are excluded
-// from the round, recomputed, and glued back in before the next round,
-// so the surviving complex matches the fault-free run. With
+// dropped, delayed and corrupted messages: each affected block is
+// recovered through Recover and glued in its member-order place, so the
+// surviving complex is byte-identical to the fault-free run. With
 // Options.Migrate, a crashed rank's blocks additionally change owner
 // instead of being recovered in place on the restarted rank.
 func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*mscomplex.Complex, opts Options) ([]RoundStats, error) {
@@ -103,6 +102,7 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 	reg := r.Metrics()
 	payloadHist := reg.Histogram("merge_payload_bytes")
 	payloadPeak := reg.Gauge("merge_payload_peak_bytes")
+	recoverable := opts.Recompute != nil || opts.Checkpoint != nil
 	owners := opts.Owners
 	if owners == nil {
 		owners = grid.NewOwnerTable(nblocks, procs)
@@ -234,16 +234,18 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 		}
 
 		// Phase 2: every root owned by this rank receives the group
-		// members, glues them in member order, and re-simplifies.
-		// Members that time out or fail the checksum are excluded here
-		// and recovered below, before the next round.
+		// members, glues them in member order, and re-simplifies. A
+		// member whose payload times out, fails the checksum or loses
+		// the speculation race is recovered (checkpoint first, rebuild
+		// otherwise) and glued in its own place, so every recovery path
+		// reproduces the fault-free glue order.
 		for _, g := range groups {
 			if owners.Owner(g.Root) != r.ID() {
 				continue
 			}
 			root, ok := complexes[g.Root]
 			if !ok {
-				if opts.Recompute == nil && opts.Checkpoint == nil {
+				if !recoverable {
 					return nil, fmt.Errorf("merge: rank %d does not hold root block %d", r.ID(), g.Root)
 				}
 				restoreStart := r.Clock()
@@ -260,7 +262,6 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 						tagMergeBase+round*16, 0, restoreStart)
 				}
 			}
-			var missing []int
 			for _, m := range g.Members {
 				if m == g.Root {
 					continue
@@ -274,7 +275,7 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					var ok bool
 					payload, _, ok = r.RecvTimeout(srcRank, tag, opts.Timeout)
 					if !ok {
-						if opts.Recompute == nil && opts.Checkpoint == nil {
+						if !recoverable {
 							return nil, fmt.Errorf("merge: timeout waiting for block %d from rank %d", m, srcRank)
 						}
 						// The wait is real virtual time this root lost
@@ -309,75 +310,34 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 					var err error
 					other, err = decodeMember(payload)
 					if err != nil {
-						if opts.Recompute == nil && opts.Checkpoint == nil {
+						if !recoverable {
 							return nil, fmt.Errorf("merge: block %d from rank %d: %w", m, srcRank, err)
 						}
-						if opts.Report != nil {
-							opts.Report.Corruptions++
-						}
-						tr.Instant("fault:corrupt", r.Clock(), obs.I("block", int64(m)),
-							obs.I("src", int64(srcRank)), obs.I("round", int64(round)))
-						if lg := r.Logger(); lg != nil {
-							lg.Warn("fault.corrupt", "rank", r.ID(), "block", m,
-								"src", srcRank, "round", round, "vt", float64(r.Clock()))
-						}
+						noteCorrupt(r, opts.Report, m, srcRank, round)
 						other, payload = nil, nil
 					}
 				}
 				if other == nil {
-					// The newest valid checkpoint holds the exact complex
-					// this member would have sent, so gluing it here, in
-					// member order, keeps the merged output byte-identical
-					// to the fault-free run. Only when no checkpoint
-					// validates does the subtree drop to the post-simplify
-					// Rebuild path below.
-					restored, ok, err := Restore(r, sched, nblocks, m, round, opts)
+					recovered, err := Recover(r, sched, nblocks, m, round, opts)
 					if err != nil {
-						return nil, fmt.Errorf("merge: restore block %d: %w", m, err)
+						return nil, fmt.Errorf("merge: recover block %d: %w", m, err)
 					}
-					if !ok {
-						missing = append(missing, m)
-						continue
-					}
-					other = restored
+					other = recovered
 				}
-				glue := tr.Begin("glue", r.Clock())
+				span := tr.Begin("glue", r.Clock())
 				if len(payload) > 0 {
 					r.Compute(vtime.Work{BytesCoded: int64(len(payload))})
 				}
-				workBefore := root.Work
-				root.Glue(other)
-				r.Compute(workDelta(root.Work, workBefore))
-				glue.End(r.Clock(),
+				glue(r, root, other)
+				span.End(r.Clock(),
 					obs.I("block", int64(m)), obs.I("bytes", int64(len(payload))))
 			}
 			simpStart := r.Clock()
-			workBefore := root.Work
-			root.Simplify(mscomplex.SimplifyOptions{Threshold: opts.Threshold})
-			compacted := root.Compact() // carries root.Work plus its own ops
-			r.Compute(workDelta(compacted.Work, workBefore))
+			compacted := simplify(r, root, opts.Threshold)
 			if tr.Enabled() {
 				n, a := compacted.AliveCounts()
 				tr.Span("simplify", simpStart, r.Clock(), obs.I("root", int64(g.Root)),
 					obs.I("nodes", int64(n[0]+n[1]+n[2]+n[3])), obs.I("arcs", int64(a)))
-			}
-
-			// Recovery: rebuild each excluded member's subtree and glue
-			// it in before the next round. Excluded subtrees stayed
-			// outside compacted.Region, so their shared-boundary nodes
-			// were protected from the simplification above, exactly as
-			// in a fault-free merge order.
-			for _, m := range missing {
-				rebuilt, err := Rebuild(r, sched, nblocks, m, round, opts)
-				if err != nil {
-					return nil, fmt.Errorf("merge: rebuild block %d: %w", m, err)
-				}
-				workBefore := compacted.Work
-				compacted.Glue(rebuilt)
-				compacted.Simplify(mscomplex.SimplifyOptions{Threshold: opts.Threshold})
-				next := compacted.Compact()
-				r.Compute(workDelta(next.Work, workBefore))
-				compacted = next
 			}
 			if opts.Checkpoint.writesAfter(round) {
 				opts.Checkpoint.write(r, sched, nblocks, round, g.Root, compacted, opts.Report)
@@ -425,7 +385,7 @@ func Execute(r *mpsim.Rank, sched Schedule, nblocks int, complexes map[int]*msco
 // unconsumed in the mailbox (ignored for the rest of the run).
 //
 // Returns (nil, nil) when neither side can produce the subtree — the
-// caller then falls through to the ordinary Restore/Rebuild path.
+// caller then falls through to the ordinary Recover path.
 func speculate(r *mpsim.Rank, sched Schedule, nblocks, block, srcRank, tag, round int, opts Options) (*mscomplex.Complex, []byte) {
 	tr := r.Tracer()
 	reg := r.Metrics()
@@ -464,11 +424,7 @@ func speculate(r *mpsim.Rank, sched Schedule, nblocks, block, srcRank, tag, roun
 		}
 		// The straggler's payload is corrupt on top of late; fall back
 		// to the recompute result if the twin produced one.
-		if opts.Report != nil {
-			opts.Report.Corruptions++
-		}
-		tr.Instant("fault:corrupt", r.Clock(), obs.I("block", int64(block)),
-			obs.I("src", int64(srcRank)), obs.I("round", int64(round)))
+		noteCorrupt(r, opts.Report, block, srcRank, round)
 	}
 	if recErr != nil {
 		return nil, nil
@@ -501,67 +457,60 @@ func decodeMember(payload []byte) (*mscomplex.Complex, error) {
 	return mscomplex.Deserialize(inner)
 }
 
-// Rebuild deterministically reconstructs the merged complex that block
-// carries entering the given round: the per-block complexes of its
-// subtree (the stride-sized id range the earlier rounds folded into it)
-// recomputed from source data via opts.Recompute, then the earlier
-// rounds replayed locally in the same glue order and with the same
-// per-round simplification as the original merge. Because both the
-// compute stage and the merge are deterministic, the result is
-// identical to the complex that was lost. The work performed is charged
-// to r's virtual clock, so recovery cost is visible in the trace.
-func Rebuild(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Options) (*mscomplex.Complex, error) {
+// noteCorrupt records a member payload that failed its checksum or
+// decode: the Corruptions counter, a fault:corrupt instant and a
+// fault.corrupt log line.
+func noteCorrupt(r *mpsim.Rank, rep *fault.Report, block, src, round int) {
+	if rep != nil {
+		rep.Corruptions++
+	}
+	r.Tracer().Instant("fault:corrupt", r.Clock(), obs.I("block", int64(block)),
+		obs.I("src", int64(src)), obs.I("round", int64(round)))
+	if lg := r.Logger(); lg != nil {
+		lg.Warn("fault.corrupt", "rank", r.ID(), "block", block,
+			"src", src, "round", round, "vt", float64(r.Clock()))
+	}
+}
+
+// rebuild deterministically reconstructs the merged complex that block
+// carries entering the given round: every original block of its
+// subtree (the stride-sized id range the earlier rounds folded into
+// it) recomputed from source data via opts.Recompute, folded by replay
+// in the same glue order and with the same per-round simplification as
+// the original merge. Because both the compute stage and the merge are
+// deterministic, the result is identical to the complex that was lost.
+// The work performed is charged to r's virtual clock, so recovery cost
+// is visible in the trace.
+func rebuild(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Options) (*mscomplex.Complex, error) {
 	if opts.Recompute == nil {
 		return nil, fmt.Errorf("merge: no recompute callback")
 	}
 	rebuildStart := r.Clock()
-	span := sched.Stride(round)
-	end := block + span
-	if end > nblocks {
-		end = nblocks
-	}
-	local := make(map[int]*mscomplex.Complex, span)
-	for b := block; b < end; b++ {
+	var subtree func(b, k int) (*mscomplex.Complex, error)
+	subtree = func(b, k int) (*mscomplex.Complex, error) {
+		// RecomputeCells is recorded inside the Recompute callback,
+		// where the gradient pass that visits them runs.
 		ms, err := opts.Recompute(r, opts.Report, b)
 		if err != nil {
 			return nil, err
 		}
-		local[b] = ms
-		// RecomputeCells is recorded inside the Recompute callback,
-		// where the gradient pass that visits them runs.
 		if opts.Report != nil {
 			opts.Report.LostBlocks = append(opts.Report.LostBlocks, b)
 			opts.Report.RecoveredBlocks = append(opts.Report.RecoveredBlocks, b)
 		}
+		return replay(r, sched, nblocks, b, ms, 0, k, opts.Threshold, subtree)
+	}
+	ms, err := subtree(block, round)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Report != nil {
 		opts.Report.Recomputes++
 	}
-	for rr := 0; rr < round; rr++ {
-		for _, g := range sched.RoundGroups(nblocks, rr) {
-			if g.Root < block || g.Root >= end {
-				continue
-			}
-			root := local[g.Root]
-			for _, m := range g.Members {
-				if m == g.Root {
-					continue
-				}
-				workBefore := root.Work
-				root.Glue(local[m])
-				r.Compute(workDelta(root.Work, workBefore))
-				delete(local, m)
-			}
-			workBefore := root.Work
-			root.Simplify(mscomplex.SimplifyOptions{Threshold: opts.Threshold})
-			compacted := root.Compact()
-			r.Compute(workDelta(compacted.Work, workBefore))
-			local[g.Root] = compacted
-		}
-	}
 	// Recovery cost is first-class in the trace: one span on the
 	// rebuilding rank, plus the recompute budget counters the
 	// fault-aware-scheduling work (ROADMAP) will optimize against.
+	span := sched.Stride(round)
 	r.Tracer().Span("rebuild", rebuildStart, r.Clock(),
 		obs.I("block", int64(block)), obs.I("round", int64(round)),
 		obs.I("subtree", int64(span)))
@@ -573,7 +522,44 @@ func Rebuild(r *mpsim.Rank, sched Schedule, nblocks, block, round int, opts Opti
 		reg.Counter("merge_recomputes_total").Add(1)
 		reg.Gauge("merge_recompute_seconds_total").Add(float64(r.Clock() - rebuildStart))
 	}
-	return local[block], nil
+	return ms, nil
+}
+
+// replay folds rounds from..to-1 of the merge onto ms, the complex
+// block carries entering round from: each round glues the members of
+// block's group, obtained from member(m, round), in member order and
+// re-simplifies, exactly as the original merge did.
+func replay(r *mpsim.Rank, sched Schedule, nblocks, block int, ms *mscomplex.Complex, from, to int,
+	threshold float32, member func(m, round int) (*mscomplex.Complex, error)) (*mscomplex.Complex, error) {
+	for rr := from; rr < to; rr++ {
+		stride := sched.Stride(rr)
+		for m := block + stride; m < block+stride*sched.Radices[rr] && m < nblocks; m += stride {
+			other, err := member(m, rr)
+			if err != nil {
+				return nil, err
+			}
+			glue(r, ms, other)
+		}
+		ms = simplify(r, ms, threshold)
+	}
+	return ms, nil
+}
+
+// glue folds other into root and charges the glue work to r's clock.
+func glue(r *mpsim.Rank, root, other *mscomplex.Complex) {
+	before := root.Work
+	root.Glue(other)
+	r.Compute(workDelta(root.Work, before))
+}
+
+// simplify re-applies persistence simplification to ms and returns its
+// compacted form, charging both to r's clock.
+func simplify(r *mpsim.Rank, ms *mscomplex.Complex, threshold float32) *mscomplex.Complex {
+	before := ms.Work
+	ms.Simplify(mscomplex.SimplifyOptions{Threshold: threshold})
+	compacted := ms.Compact() // carries ms.Work plus its own ops
+	r.Compute(workDelta(compacted.Work, before))
+	return compacted
 }
 
 func workDelta(after, before vtime.Work) vtime.Work {

@@ -19,10 +19,12 @@ type Schedule struct {
 }
 
 // Full returns the paper's recommended schedule for a complete merge of
-// nblocks (a power of two) down to one block: radix-8 rounds, with any
-// remainder radix placed in the earliest round ("smaller radices are
-// slightly better in early rounds rather than later"). For example 2048
-// blocks merge in four rounds [4 8 8 8] and 8192 in five [2 8 8 8 8].
+// nblocks down to one block: radix-8 rounds, with any remainder radix
+// placed in the earliest round ("smaller radices are slightly better in
+// early rounds rather than later"). For example 2048 blocks merge in
+// four rounds [4 8 8 8] and 8192 in five [2 8 8 8 8]. A block count
+// that is not a power of two is rounded up to one; the last group of a
+// round is then short.
 func Full(nblocks int) Schedule {
 	if nblocks <= 1 {
 		return Schedule{}
@@ -53,18 +55,21 @@ func Partial(nblocks, rounds int) Schedule {
 }
 
 // Validate checks the schedule against a block count: radices must be
-// 2, 4 or 8 (the paper's restriction) and the reduction must not exceed
-// the number of blocks.
+// 2, 4 or 8 (the paper's restriction), and a round of radix k is
+// rejected when at most k/2 blocks enter it, since radix k/2 would then
+// build the same groups. The last group of a round may be short, so
+// block counts that are not powers of two merge down to one block.
 func (s Schedule) Validate(nblocks int) error {
-	product := 1
+	left := nblocks
 	for _, r := range s.Radices {
 		if r != 2 && r != 4 && r != 8 {
 			return fmt.Errorf("merge: radix %d not in {2,4,8}", r)
 		}
-		product *= r
-	}
-	if product > nblocks {
-		return fmt.Errorf("merge: schedule reduces by %d× but only %d blocks exist", product, nblocks)
+		if r/2 >= left {
+			return fmt.Errorf("merge: schedule %v reduces by %d× but only %d blocks enter that round",
+				s.Radices, r, left)
+		}
+		left = (left + r - 1) / r
 	}
 	return nil
 }

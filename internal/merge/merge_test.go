@@ -68,6 +68,20 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestFullValidatesAnyBlockCount: the full-merge schedule of every block
+// count, powers of two or not, validates and merges down to block 0.
+func TestFullValidatesAnyBlockCount(t *testing.T) {
+	for n := 1; n <= 64; n++ {
+		s := Full(n)
+		if err := s.Validate(n); err != nil {
+			t.Fatalf("Full(%d) = %v: %v", n, s.Radices, err)
+		}
+		if got := s.Survivors(n); len(got) != 1 || got[0] != 0 {
+			t.Fatalf("Full(%d) = %v leaves %v", n, s.Radices, got)
+		}
+	}
+}
+
 // TestRoundGroupsPartition: every surviving block appears in exactly one
 // group per round; roots survive into the next round.
 func TestRoundGroupsPartition(t *testing.T) {

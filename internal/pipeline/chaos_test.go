@@ -57,7 +57,11 @@ func TestChaosSurvivesCrashDropAndCorruption(t *testing.T) {
 		Blocks: 64, Radices: []int{8, 8}, Persistence: 0.1,
 	}
 
-	_, clean, err := runChaos(t, 64, nil, 0, params, vol)
+	cleanFS, clean, err := runChaos(t, 64, nil, 0, params, vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanBytes, err := cleanFS.FS().Get("vol.msc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +106,9 @@ func TestChaosSurvivesCrashDropAndCorruption(t *testing.T) {
 		t.Errorf("injection log: %v", plan.Injected())
 	}
 
-	// Graceful degradation must be invisible in the output: identical
-	// surviving critical-point counts and a loadable, checksummed
-	// output file. (Arc multiplicities may differ: recovery glues the
-	// rebuilt subtree after the on-time members, and cancellation order
-	// affects which geometric arcs merge — the persistent critical
-	// points are order-invariant.)
+	// Graceful degradation must be invisible in the output: recovery
+	// glues each rebuilt subtree in its member-order place, so the
+	// output file is byte-identical to the fault-free one.
 	if res.Nodes != clean.Nodes {
 		t.Errorf("faulty run nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
@@ -121,6 +122,20 @@ func TestChaosSurvivesCrashDropAndCorruption(t *testing.T) {
 	n, _ := all[0].AliveCounts()
 	if n != clean.Nodes {
 		t.Errorf("output file nodes %v, fault-free %v", n, clean.Nodes)
+	}
+	sameOutput(t, fs, cleanBytes)
+}
+
+// sameOutput fails the test unless the run's output file is
+// byte-identical to the fault-free file.
+func sameOutput(t *testing.T, c *mpsim.Cluster, clean []byte) {
+	t.Helper()
+	got, err := c.FS().Get("vol.msc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, clean) {
+		t.Errorf("output differs from fault-free run (%d vs %d bytes)", len(got), len(clean))
 	}
 }
 
@@ -390,11 +405,11 @@ func TestChaosDuplicatedPayloadHarmless(t *testing.T) {
 // 64-rank radix-4 merge with a rank crash injected at the start of each
 // round, run with checkpointing on and off. With checkpoints every
 // round, any crash after round 0 must be served entirely by a
-// checkpoint read — zero recomputes — and, because the restored complex
-// is the exact payload the crashed member would have sent, the output
-// file must be byte-identical to the fault-free run. A round-0 crash
-// has no checkpoint to restore from and must fall back to recompute;
-// with checkpoints off every crash recomputes.
+// checkpoint read — zero recomputes. A round-0 crash has no checkpoint
+// to restore from and must fall back to recompute; with checkpoints off
+// every crash recomputes. Whichever path recovers the subtree, it is
+// glued in the crashed member's place, so the output file must be
+// byte-identical to the fault-free run.
 func TestChaosCheckpointRestoreByRound(t *testing.T) {
 	vol := synth.Sinusoid(33, 4)
 	base := Params{
@@ -434,11 +449,11 @@ func TestChaosCheckpointRestoreByRound(t *testing.T) {
 				if res.Nodes != clean.Nodes {
 					t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 				}
+				sameOutput(t, fs, cleanBytes)
 				switch {
 				case ckpt == 1 && round > 0:
 					// Late-round crash with checkpoints: recovery is a
-					// read, never a recompute, and the output is
-					// byte-identical to the fault-free file.
+					// read, never a recompute.
 					if rep.Recomputes != 0 || rep.RecomputeCells != 0 {
 						t.Errorf("recomputes = %d (cells %d), want 0 with a valid checkpoint",
 							rep.Recomputes, rep.RecomputeCells)
@@ -458,14 +473,6 @@ func TestChaosCheckpointRestoreByRound(t *testing.T) {
 					}
 					if blockList(rep.RestoredBlocks) != blockList(want) {
 						t.Errorf("restored %v, want %v", rep.RestoredBlocks, want)
-					}
-					got, err := fs.FS().Get("vol.msc")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, cleanBytes) {
-						t.Errorf("output differs from fault-free run (%d vs %d bytes)",
-							len(got), len(cleanBytes))
 					}
 				case ckpt == 1 && round == 0:
 					// Nothing checkpointed before round 0: the probe must
@@ -569,13 +576,7 @@ func TestChaosCrashAtWriteRestoresFromCheckpoint(t *testing.T) {
 	if got := blockList(rep.RestoredBlocks); got != blockList([]int{0, 1, 2, 3}) {
 		t.Errorf("restored %v, want [0 1 2 3]", rep.RestoredBlocks)
 	}
-	got, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, cleanBytes) {
-		t.Errorf("output differs from fault-free run (%d vs %d bytes)", len(got), len(cleanBytes))
-	}
+	sameOutput(t, fs, cleanBytes)
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}

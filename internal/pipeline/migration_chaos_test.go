@@ -74,13 +74,7 @@ func TestChaosMigrationDrill(t *testing.T) {
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
-	got, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, cleanBytes) {
-		t.Errorf("output differs from fault-free run (%d vs %d bytes)", len(got), len(cleanBytes))
-	}
+	sameOutput(t, fs, cleanBytes)
 }
 
 // TestChaosMigrationWithoutCheckpoints: the same crash with no
@@ -126,13 +120,7 @@ func TestChaosMigrationWithoutCheckpoints(t *testing.T) {
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
-	got, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, cleanBytes) {
-		t.Errorf("output differs from fault-free run (%d vs %d bytes)", len(got), len(cleanBytes))
-	}
+	sameOutput(t, fs, cleanBytes)
 }
 
 // TestChaosSpeculationBeatsTimeout: a merge payload delayed just past
@@ -311,13 +299,7 @@ func TestChaosCheckpointGCReclaims(t *testing.T) {
 	if res.Nodes != clean.Nodes {
 		t.Errorf("nodes %v, fault-free %v", res.Nodes, clean.Nodes)
 	}
-	got, err := fs.FS().Get("vol.msc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, cleanBytes) {
-		t.Errorf("output differs from fault-free run (%d vs %d bytes)", len(got), len(cleanBytes))
-	}
+	sameOutput(t, fs, cleanBytes)
 }
 
 // TestChaosMigrationRateSweep compares migration against in-place

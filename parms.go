@@ -26,6 +26,7 @@ package parms
 import (
 	"fmt"
 	"log/slog"
+	"math"
 	"sort"
 	"time"
 
@@ -303,6 +304,36 @@ func Compute(vol *Volume, opt Options) (*Result, error) {
 	if err := vol.CheckNaN(); err != nil {
 		return nil, fmt.Errorf("parms: %w", err)
 	}
+	lo, hi := vol.Range()
+	return run(vol.Dims, vol.DType, vol.Bytes(), nil, lo, hi, opt)
+}
+
+// ComputeInSitu runs the two-stage algorithm without a read stage: each
+// block's samples are supplied directly by source, as when the analysis
+// is embedded in the simulation that produced the data (the paper's
+// in-situ plan, section VII-B). source receives the closed vertex box
+// [lo, hi] of a block (including shared layers) and must return a volume
+// of exactly that extent. It is called once per block, in block-id
+// order, before the run starts; a NaN sample fails the call with
+// ErrNaN. rangeLo and rangeHi give the global value range the relative
+// persistence threshold is scaled by; both must be finite.
+func ComputeInSitu(dims Dims, source func(lo, hi [3]int) *Volume,
+	rangeLo, rangeHi float32, opt Options) (*Result, error) {
+	for _, v := range []float32{rangeLo, rangeHi} {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return nil, fmt.Errorf("parms: in-situ value range [%v, %v] is not finite", rangeLo, rangeHi)
+		}
+	}
+	return run(dims, 0, nil, source, rangeLo, rangeHi, opt)
+}
+
+// run is the body of Compute and ComputeInSitu, which differ only in
+// where the samples come from: the raw file contents input (of sample
+// type dtype), or, when source is non-nil, the per-block in-situ
+// supplier. [lo, hi] is the value range the relative persistence
+// threshold is scaled by.
+func run(dims Dims, dtype DType, input []byte, source func(lo, hi [3]int) *Volume,
+	lo, hi float32, opt Options) (*Result, error) {
 	if opt.Procs <= 0 {
 		opt.Procs = 1
 	}
@@ -314,24 +345,10 @@ func Compute(vol *Volume, opt Options) (*Result, error) {
 	if radices == nil && opt.FullMerge {
 		radices = merge.Full(blocks).Radices
 	}
-	ob := newObserver(opt)
-	cluster, err := mpsim.New(mpsim.Config{
-		Procs:       opt.Procs,
-		Machine:     opt.Machine,
-		MaxParallel: opt.MaxParallel,
-		Faults:      opt.Faults,
-		RecvGrace:   opt.RecvGrace,
-		Obs:         ob,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cluster.FS().Put("volume.raw", vol.Bytes())
-	lo, hi := vol.Range()
-	res, err := pipeline.Run(cluster, pipeline.Params{
+	p := pipeline.Params{
 		File:            "volume.raw",
-		Dims:            vol.Dims,
-		DType:           vol.DType,
+		Dims:            dims,
+		DType:           dtype,
 		Blocks:          blocks,
 		Radices:         radices,
 		Persistence:     float32(opt.Persistence * float64(hi-lo)),
@@ -345,97 +362,41 @@ func Compute(vol *Volume, opt Options) (*Result, error) {
 		Migrate:         opt.Migrate,
 		Speculate:       opt.Speculate,
 		AvoidRanks:      opt.AvoidRanks,
-	})
-	if err != nil {
-		return nil, err
 	}
-	out := &Result{
-		Times:        res.Times,
-		Rounds:       res.Rounds,
-		Procs:        res.Procs,
-		Blocks:       res.Blocks,
-		OutputBlocks: res.OutputBlocks,
-		OutputBytes:  res.OutputBytes,
-		Nodes:        res.Nodes,
-		Arcs:         res.Arcs,
-		BytesSent:    res.BytesSent,
-		Complexes:    res.Complexes,
-		FaultReport:  res.FaultReport,
-		Trace:        res.Trace,
-		Metrics:      res.Metrics,
-	}
-	return out, nil
-}
-
-// ComputeInSitu runs the two-stage algorithm without a read stage: each
-// block's samples are supplied directly by source, as when the analysis
-// is embedded in the simulation that produced the data (the paper's
-// in-situ plan, section VII-B). source receives the closed vertex box
-// [lo, hi] of a block (including shared layers) and must return a volume
-// of exactly that extent. It is called once per block, in block-id
-// order, before the run starts; a NaN sample fails the call with
-// ErrNaN. rangeLo and rangeHi give the global value range the relative
-// persistence threshold is scaled by.
-func ComputeInSitu(dims Dims, source func(lo, hi [3]int) *Volume,
-	rangeLo, rangeHi float32, opt Options) (*Result, error) {
-	if opt.Procs <= 0 {
-		opt.Procs = 1
-	}
-	blocks := opt.Blocks
-	if blocks <= 0 {
-		blocks = opt.Procs
-	}
-	radices := opt.Radices
-	if radices == nil && opt.FullMerge {
-		radices = merge.Full(blocks).Radices
-	}
-	// Take every block from the source up front, as the resident
-	// partition of the simulation, so NaN is rejected before any rank
-	// starts.
-	dec, err := grid.Decompose(dims, blocks)
-	if err != nil {
-		return nil, err
-	}
-	resident := make([]*Volume, dec.NumBlocks())
-	for _, b := range dec.Blocks {
-		v := source(b.Lo, b.Hi)
-		if err := v.CheckNaN(); err != nil {
-			return nil, fmt.Errorf("parms: in-situ block %d: %w", b.ID, err)
+	if source != nil {
+		// Take every block from the source up front, as the resident
+		// partition of the simulation, so NaN is rejected before any
+		// rank starts.
+		dec, err := grid.Decompose(dims, blocks)
+		if err != nil {
+			return nil, err
 		}
-		resident[b.ID] = v
+		resident := make([]*Volume, dec.NumBlocks())
+		for _, b := range dec.Blocks {
+			v := source(b.Lo, b.Hi)
+			if err := v.CheckNaN(); err != nil {
+				return nil, fmt.Errorf("parms: in-situ block %d: %w", b.ID, err)
+			}
+			resident[b.ID] = v
+		}
+		p.File = "in-situ"
+		p.Source = func(b grid.Block) (*Volume, error) { return resident[b.ID], nil }
 	}
-	ob := newObserver(opt)
 	cluster, err := mpsim.New(mpsim.Config{
 		Procs:       opt.Procs,
 		Machine:     opt.Machine,
 		MaxParallel: opt.MaxParallel,
 		Faults:      opt.Faults,
 		RecvGrace:   opt.RecvGrace,
-		Obs:         ob,
+		Obs:         newObserver(opt),
 	})
 	if err != nil {
 		return nil, err
 	}
-	res, err := pipeline.Run(cluster, pipeline.Params{
-		File:            "in-situ",
-		Dims:            dims,
-		Blocks:          blocks,
-		Radices:         radices,
-		Persistence:     float32(opt.Persistence * float64(rangeHi-rangeLo)),
-		KeepComplexes:   true,
-		Measured:        opt.Measured,
-		Workers:         opt.Workers,
-		MergeTimeout:    opt.MergeTimeout,
-		CheckpointEvery: opt.CheckpointEvery,
-		CheckpointDir:   opt.CheckpointDir,
-		CheckpointGC:    opt.CheckpointGC,
-		Migrate:         opt.Migrate,
-		Speculate:       opt.Speculate,
-		AvoidRanks:      opt.AvoidRanks,
-		Source: func(b grid.Block) (*Volume, error) {
-			return resident[b.ID], nil
-		},
-	})
+	if input != nil {
+		cluster.FS().Put(p.File, input)
+	}
+	res, err := pipeline.Run(cluster, p)
 	if err != nil {
 		return nil, err
 	}

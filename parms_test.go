@@ -266,6 +266,45 @@ func TestPublicEventLog(t *testing.T) {
 	}
 }
 
+// TestFullMergeAnyProcs: a full merge of a block count that is not a
+// power of two runs with a short last group and finds the serial
+// complex's critical points.
+func TestFullMergeAnyProcs(t *testing.T) {
+	vol := Sinusoid(17, 2)
+	want, _ := ComputeSerial(vol, 0.15).AliveCounts()
+	for _, procs := range []int{3, 5, 6, 12} {
+		res, err := Compute(vol, Options{Procs: procs, FullMerge: true, Persistence: 0.15})
+		if err != nil {
+			t.Fatalf("procs=%d: %v", procs, err)
+		}
+		if res.OutputBlocks != 1 || res.Nodes != want {
+			t.Errorf("procs=%d: %d output blocks, nodes %v, serial %v",
+				procs, res.OutputBlocks, res.Nodes, want)
+		}
+	}
+}
+
+// TestComputeInSituRejectsNonFiniteRange: the relative persistence
+// threshold is scaled by the caller's value range, so a non-finite
+// bound is refused before the source is consulted.
+func TestComputeInSituRejectsNonFiniteRange(t *testing.T) {
+	vol := Sinusoid(9, 1)
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for _, r := range [][2]float32{{0, inf}, {-inf, 1}, {nan, 1}, {0, nan}} {
+		calls := 0
+		_, err := ComputeInSitu(vol.Dims, func(lo, hi [3]int) *Volume {
+			calls++
+			return vol.SubVolume(lo, hi)
+		}, r[0], r[1], Options{Procs: 2, FullMerge: true})
+		if err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("range %v: error %v, want a non-finite range error", r, err)
+		}
+		if calls != 0 {
+			t.Errorf("range %v: source called %d times before the range was checked", r, calls)
+		}
+	}
+}
+
 // TestInfSampleKeepsFiniteThreshold: an infinite sample does not widen
 // the value range, so the relative persistence threshold stays finite
 // and the complex is not simplified down to a single minimum.
